@@ -141,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--reps", type=int, default=1000)
         sp.add_argument("--tol", type=float, default=1e-3)
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="subset budget for exact sparse-eigenvalue enumeration")
+                        help="largest comb(p, s) the exact sparse-eigenvalue search accepts")
 
     sp = sub.add_parser("test-uni", help="univariate variance changepoint test")
     add_common(sp, with_input=True)

@@ -34,7 +34,7 @@ __all__ = [
     "detectability_ratio_floor",
     "UniSignal",
     "MultiSignal",
-    "abs_eig_max",
+    "operator_norm",
 ]
 
 SYM_TOL = 1e-10
@@ -91,10 +91,10 @@ def center_columns(X) -> np.ndarray:
     return X - X.mean(axis=0)
 
 
-def abs_eig_max(A) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix, by full
-    symmetric eigendecomposition."""
-    w = np.linalg.eigvalsh(np.asarray(A, dtype=float))
+def operator_norm(A) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix, which is
+    ``sparse_abs_eigmax(A, p).value``, by one full eigendecomposition."""
+    w = np.linalg.eigvalsh(sym_matrix(A))
     return float(max(abs(w[0]), abs(w[-1])))
 
 
@@ -260,8 +260,8 @@ def signal_strength_multi(t0, n, Sigma1, Sigma2) -> float:
     S2 = sym_matrix(Sigma2)
     if S1.shape != S2.shape:
         raise InvalidInputError("covariance matrices must share a dimension")
-    diff = abs_eig_max(S1 - S2)
-    sigma_sq = max(abs_eig_max(S1), abs_eig_max(S2))
+    diff = operator_norm(S1 - S2)
+    sigma_sq = max(operator_norm(S1), operator_norm(S2))
     if diff == 0.0:
         return 0.0
     if diff >= sigma_sq:
@@ -335,7 +335,7 @@ class MultiSignal:
 
     @property
     def sigma_sq(self) -> float:
-        return max(abs_eig_max(self.Sigma1), abs_eig_max(self.Sigma2))
+        return max(operator_norm(self.Sigma1), operator_norm(self.Sigma2))
 
     @property
     def rho(self) -> float:

@@ -43,7 +43,8 @@ _CHECK_GROWTH = 1.35
 class RelaxSolution:
     """Certified value interval for the relaxed sparse eigenvalue.
 
-    ``lower`` is ``|trace(A Z)]`` for the feasible primal point ``Z``;
+    ``lower`` is ``|trace(A Z)|`` for the feasible primal point ``Z``, clamped
+    to ``upper`` where a zero gap lets rounding cross the two;
     ``upper`` is the dual certificate value
     ``lambda_max(dual_sign * A + Y) + s * max|Y|``. ``converged`` records
     whether the gap closed within ``tol * max(1, s * max|A|)`` before the
@@ -266,7 +267,7 @@ def relaxed_sparse_eigmax(A, s, tol: float = 1e-3, max_iter: int = 5000) -> Rela
     converged = (upper - lower <= tol_abs) and results[lower_sign][5] and side_done
 
     return RelaxSolution(
-        lower=float(abs(np.tensordot(A, Z))),
+        lower=min(float(abs(np.tensordot(A, Z))), float(upper)),
         upper=float(upper),
         Z=Z,
         Y=Y,

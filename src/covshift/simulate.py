@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import dyadic_grid, loglog8n, minimax_rate
-from .exceptions import InvalidInputError, SignalDomainError
+from .exceptions import CovshiftError, InvalidInputError, SignalDomainError
 from .multivariate import adaptive_sdp_test, adaptive_test, covariance_test
 from .sparse_eig import DEFAULT_BUDGET
 from .univariate import variance_test
@@ -362,8 +362,8 @@ def minimax_lower_bound(alpha) -> float:
 class SimOutcome:
     """Monte Carlo Type I/II estimates with binomial standard errors.
 
-    Replicates whose test raised an error are tallied separately in
-    ``failed_null`` / ``failed_alt`` and never silently dropped.
+    Replicates whose test raised one of covshift's errors are tallied
+    separately in ``failed_null`` / ``failed_alt`` and never silently dropped.
     """
 
     type1: float
@@ -395,7 +395,8 @@ def _binom_se(rate, reps):
 def monte_carlo_errors(test, spec: PriorSpec, reps, seed) -> SimOutcome:
     """Estimate Type I and Type II error rates of a test callable.
 
-    ``test`` maps an ``(n, p)`` array to a boolean rejection. Nulls are
+    ``test`` maps an ``(n, p)`` array to a boolean rejection; a replicate
+    raising ``CovshiftError`` counts as failed, other errors propagate. Nulls are
     i.i.d. N(0, sigma_sq*I); alternatives are drawn from the prior. Each
     replicate derives its own generators from ``(seed, replicate)``, so the
     outcome is independent of evaluation order.
@@ -408,14 +409,14 @@ def monte_carlo_errors(test, spec: PriorSpec, reps, seed) -> SimOutcome:
         try:
             if test(X0):
                 rejected_null += 1
-        except Exception:
+        except CovshiftError:
             failed_null += 1
         draw = sample_alternative(spec, [seed, r, _S_PRIOR])
         X1 = sample_series(draw, spec.n, spec.p, [seed, r, _S_DATA])
         try:
             if not test(X1):
                 accepted_alt += 1
-        except Exception:
+        except CovshiftError:
             failed_alt += 1
     type1 = rejected_null / reps
     type2 = accepted_alt / reps

@@ -21,7 +21,6 @@ __all__ = [
     "UniTestReport",
     "variance_ratio_stat",
     "variance_test",
-    "uni_threshold_rate",
     "operation_count",
 ]
 
@@ -43,12 +42,6 @@ def _as_univariate(x) -> np.ndarray:
 def _cumulative_squares(x: np.ndarray) -> np.ndarray:
     _ops["count"] += x.size
     return np.cumsum(x * x)
-
-
-def uni_threshold_rate(n, t) -> float:
-    """Scan rate ``max(sqrt(L/t), L/t)`` with ``L = loglog8n(n)``."""
-    ell = loglog8n(n)
-    return max(math.sqrt(ell / t), ell / t)
 
 
 def variance_ratio_stat(x, t) -> float:

@@ -123,6 +123,16 @@ class TestCertificates:
             assert exact - 1e-8 <= sol.upper
             assert sol.lower <= s * float(np.abs(A).max()) + 1e-8
 
+    def test_zero_gap_interval_is_ordered_exactly(self, rng):
+        # At s = p the leading eigenvector is l1-feasible, so both endpoints
+        # are the same number and rounding must not cross them.
+        for _ in range(50):
+            p = int(rng.integers(2, 9))
+            A = rand_sym(rng, p)
+            sol = relaxed_sparse_eigmax(A, p)
+            assert sol.lower <= sol.upper
+            assert sol.upper - sol.lower <= 1e-12 * max(1.0, p * float(np.abs(A).max()))
+
     def test_interval_valid_even_unconverged(self, rng):
         hit_unconverged = False
         for k in range(40):

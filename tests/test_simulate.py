@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from covshift import (
+    DegenerateDataError,
     InvalidInputError,
     SignalDomainError,
     dyadic_grid,
@@ -328,12 +329,21 @@ class TestMonteCarloErrors:
         def flaky(X):
             calls["k"] += 1
             if calls["k"] % 3 == 0:
-                raise RuntimeError("boom")
+                raise DegenerateDataError("boom")
             return False
 
         out = monte_carlo_errors(flaky, spec, 30, 0)
         assert out.failed_null + out.failed_alt == 20
         assert out.type2 < 1.0  # failed alternative replicates are not accepts
+
+    def test_programming_errors_propagate(self):
+        spec = PriorSpec("uni", n=64, p=1, sigma_sq=1.0, rho=3.0)
+
+        def broken(X):
+            raise TypeError("not a covshift failure")
+
+        with pytest.raises(TypeError, match="not a covshift failure"):
+            monte_carlo_errors(broken, spec, 5, 0)
 
     def test_deterministic_given_seed(self):
         spec = PriorSpec("uni", n=64, p=1, sigma_sq=1.0, rho=4.0)
