@@ -22,6 +22,7 @@ shrinkage levels of ``A`` is used as a fallback refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,12 +66,30 @@ class RelaxSolution:
         return self.upper - self.lower
 
 
+@functools.lru_cache(maxsize=None)
+def _ranks(n):
+    """``1.0, 2.0, ..., n``: the ranks of the l1-ball projection's sorted entries."""
+    k = np.arange(1.0, n + 1.0)
+    k.flags.writeable = False
+    return k
+
+
+def _inner(A, B):
+    """``trace(A B)`` for symmetric ``A``, ``B``: the row-by-column product
+    ``np.tensordot(A, B)`` forms, without its axis bookkeeping."""
+    return float(np.dot(A.reshape(1, -1), B.reshape(-1, 1))[0, 0])
+
+
 def _proj_simplex(v):
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, v.size + 1)
-    rho = np.nonzero(u * k > css - 1.0)[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
+    """Projection of ascending ``v`` (as ``eigh`` returns it) onto the
+    probability simplex; the threshold comes from the last rank ``k`` whose
+    ``k``-th largest entry exceeds ``(sum of the k largest - 1) / k``.
+    A plain loop is cheaper than array calls at these sizes."""
+    css = theta = 0.0
+    for k, x in enumerate(v.tolist()[::-1], 1):
+        css += x
+        if x * k > css - 1.0:
+            theta = (css - 1.0) / k
     return np.maximum(v - theta, 0.0)
 
 
@@ -82,16 +101,14 @@ def _proj_spectraplex(M):
 
 
 def _proj_l1_ball(M, s):
-    v = M.ravel()
-    a = np.abs(v)
+    a = np.abs(M)
     if a.sum() <= s:
         return M
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, a.size + 1)
-    rho = np.nonzero(u * k > css - s)[0][-1]
-    theta = (css[rho] - s) / (rho + 1.0)
-    W = (np.sign(v) * np.maximum(a - theta, 0.0)).reshape(M.shape)
+    u = np.sort(a, axis=None)[::-1]
+    css = u.cumsum()
+    rho = int((u * _ranks(u.size) > css - s).nonzero()[0][-1])
+    theta = (css.item(rho) - s) / (rho + 1)
+    W = np.sign(M) * np.maximum(a - theta, 0.0)
     return (W + W.T) / 2.0
 
 
@@ -128,9 +145,6 @@ def _one_sided(B, s, tol_abs, max_iter, stop_below=-np.inf):
     allows an early exit once the upper bound proves this side irrelevant.
     """
     p = B.shape[0]
-    w, Q = np.linalg.eigh(B)
-    lam_max = float(w[-1])
-
     if s == 1:
         # The l1 constraint forces Z diagonal, so the program is linear over
         # the probability simplex and both certificates are closed-form.
@@ -143,6 +157,8 @@ def _one_sided(B, s, tol_abs, max_iter, stop_below=-np.inf):
         Y = np.diag(d) - m_off * np.eye(p) - B
         return float(d[k]), Z, float(d[k]), Y, 0, True
 
+    w, Q = np.linalg.eigh(B)
+    lam_max = float(w[-1])
     lead = Q[:, -1]
     if np.abs(lead).sum() ** 2 <= s:
         # The unconstrained maximizer is already l1-feasible: zero gap.
@@ -166,7 +182,7 @@ def _one_sided(B, s, tol_abs, max_iter, stop_below=-np.inf):
         cand = _feasible_polish(cand, s, vertex)
 
     best_lower, best_Z = float(np.diag(B)[k_diag]), vertex
-    c_val = float(np.tensordot(B, cand))
+    c_val = _inner(B, cand)
     if c_val > best_lower:
         best_lower, best_Z = c_val, cand
     best_upper, best_Y = lam_max, np.zeros_like(B)
@@ -189,7 +205,7 @@ def _one_sided(B, s, tol_abs, max_iter, stop_below=-np.inf):
             it += 1
         next_check = max(next_check + _FIRST_CHECK, int(next_check * _CHECK_GROWTH))
         Zf = _feasible_polish((Z + W) / 2.0, s, vertex)
-        lo = float(np.tensordot(B, Zf))
+        lo = _inner(B, Zf)
         if lo > best_lower:
             best_lower, best_Z = lo, Zf
         Y = -rho * U
@@ -267,7 +283,7 @@ def relaxed_sparse_eigmax(A, s, tol: float = 1e-3, max_iter: int = 5000) -> Rela
     converged = (upper - lower <= tol_abs) and results[lower_sign][5] and side_done
 
     return RelaxSolution(
-        lower=min(float(abs(np.tensordot(A, Z))), float(upper)),
+        lower=min(abs(_inner(A, Z)), float(upper)),
         upper=float(upper),
         Z=Z,
         Y=Y,

@@ -9,6 +9,7 @@ from covshift import (
     relaxed_sparse_eigmax,
     sparse_abs_eigmax,
 )
+from covshift import sdp_relax
 
 from conftest import rand_psd, rand_sym
 
@@ -145,6 +146,44 @@ class TestCertificates:
             assert sol.lower <= 3 * float(np.abs(A).max()) + 1e-8
             hit_unconverged = hit_unconverged or not sol.converged
         assert hit_unconverged
+
+
+def sorted_simplex_projection(v):
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, v.size + 1) > css - 1.0)[0][-1]
+    return np.maximum(v - (css[rho] - 1.0) / (rho + 1.0), 0.0)
+
+
+def sorted_l1_projection(M, s):
+    v = M.ravel()
+    a = np.abs(v)
+    if a.sum() <= s:
+        return M
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u * np.arange(1, a.size + 1) > css - s)[0][-1]
+    W = (np.sign(v) * np.maximum(a - (css[rho] - s) / (rho + 1.0), 0.0)).reshape(M.shape)
+    return (W + W.T) / 2.0
+
+
+class TestProjections:
+    """The solver's projections and inner product equal the textbook
+    sort-and-threshold formulas and ``np.tensordot`` bit for bit, so the
+    iterates do not depend on how they are computed."""
+
+    def test_match_sorted_formulas(self, rng):
+        for _ in range(300):
+            p = int(rng.integers(1, 33))
+            M = rand_sym(rng, p, scale=float(rng.uniform(0.01, 5.0)))
+            if rng.random() < 0.3:
+                M = np.round(M)
+            w = np.linalg.eigvalsh(M)
+            assert np.array_equal(sdp_relax._proj_simplex(w), sorted_simplex_projection(w))
+            s = int(rng.integers(1, p + 1))
+            assert np.array_equal(sdp_relax._proj_l1_ball(M, s), sorted_l1_projection(M, s))
+            Z = sdp_relax._proj_spectraplex(M)
+            assert sdp_relax._inner(M, Z) == float(np.tensordot(M, Z))
 
 
 class TestInvariances:
