@@ -17,13 +17,11 @@ from .core import (
     detectability_ratio_floor,
     dyadic_grid,
     loglog8n,
-    prefix_covariance,
     scan_rate,
     scan_rate_relaxed,
     signal_strength_multi,
     signal_strength_uni,
     sparsity_grid,
-    suffix_covariance,
     minimax_rate,
 )
 from .exceptions import (
@@ -39,7 +37,6 @@ from .multivariate import (
     MultiTestReport,
     adaptive_sdp_test,
     adaptive_test,
-    cov_cusum_stat,
     covariance_test,
     entrywise_noise_level,
     sparse_noise_level,
@@ -64,7 +61,7 @@ from .simulate import (
     variance_shrinkage,
 )
 from .sparse_eig import SparseEigResult, operator_norm, sparse_abs_eigmax
-from .univariate import UniTestReport, variance_ratio_stat, variance_test
+from .univariate import UniTestReport, variance_test
 
 __all__ = [
     "__version__",
@@ -74,8 +71,6 @@ __all__ = [
     "minimax_rate",
     "scan_rate",
     "scan_rate_relaxed",
-    "prefix_covariance",
-    "suffix_covariance",
     "CovarianceScan",
     "signal_strength_uni",
     "signal_strength_multi",
@@ -90,11 +85,9 @@ __all__ = [
     "relaxed_sparse_eigmax",
     "dual_upper_bound",
     "UniTestReport",
-    "variance_ratio_stat",
     "variance_test",
     "MultiTestCell",
     "MultiTestReport",
-    "cov_cusum_stat",
     "covariance_test",
     "adaptive_test",
     "adaptive_sdp_test",

@@ -21,17 +21,24 @@ import numpy as np
 
 from . import __version__
 from .exceptions import InvalidInputError
-from .multivariate import adaptive_sdp_test, adaptive_test, covariance_test
+# Not called here: the commands run every test through simulate.run_test.
+# covbench/tracing.py wraps these names on this module, so they stay importable.
+from .multivariate import adaptive_sdp_test, adaptive_test  # noqa: F401
 from .simulate import (
+    FAMILIES,
     PriorSpec,
     calibrate_lambda,
     detection_boundary_uni,
     monte_carlo_errors,
+    run_test,
 )
 from .sparse_eig import DEFAULT_BUDGET
-from .univariate import variance_test
+from .univariate import variance_test  # noqa: F401
 
 __all__ = ["main"]
+
+# Family names as the command line spells them (``adaptive-sdp``).
+_FAMILY_CHOICES = [f.replace("_", "-") for f in FAMILIES]
 
 
 class ConfigError(Exception):
@@ -151,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("test-cov", help="multivariate covariance changepoint test")
     add_common(sp, with_input=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--variant", choices=["oracle", "adaptive", "adaptive-sdp"],
+    sp.add_argument("--variant", choices=[f for f in _FAMILY_CHOICES if f != "uni"],
                     default="adaptive")
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--sigma-sq", dest="sigma_sq", type=float, default=None)
@@ -159,16 +166,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("calibrate", help="null-quantile threshold calibration")
     add_common(sp)
-    sp.add_argument("--family", choices=["uni", "oracle", "adaptive", "adaptive-sdp"],
-                    required=True)
+    sp.add_argument("--family", choices=_FAMILY_CHOICES, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--s", type=int, default=None)
 
     sp = sub.add_parser("simulate", help="Monte Carlo Type I/II error estimation")
     add_common(sp)
-    sp.add_argument("--family", choices=["uni", "oracle", "adaptive", "adaptive-sdp"],
-                    required=True)
+    sp.add_argument("--family", choices=_FAMILY_CHOICES, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, default=1)
@@ -196,8 +201,7 @@ def _run_test_uni(args):
     X = read_csv_series(args.input)
     if X.shape[1] != 1:
         raise ConfigError(f"test-uni expects one column, got {X.shape[1]}")
-    report = variance_test(X[:, 0], args.lam, center=args.center)
-    return report.to_dict()
+    return run_test("uni", X, args.lam, center=args.center).to_dict()
 
 
 def _run_test_cov(args):
@@ -205,34 +209,18 @@ def _run_test_cov(args):
     if args.variant == "oracle":
         if args.s is None or args.sigma_sq is None:
             raise ConfigError("variant 'oracle' requires --s and --sigma-sq")
-        report = covariance_test(
-            X, args.lam, args.s, args.sigma_sq, budget=args.budget, center=args.center
-        )
-    else:
-        if args.s is not None or args.sigma_sq is not None:
-            raise ConfigError(f"variant {args.variant!r} forbids --s and --sigma-sq")
-        if args.variant == "adaptive":
-            report = adaptive_test(X, args.lam, budget=args.budget, center=args.center)
-        else:
-            report = adaptive_sdp_test(X, args.lam, tol=args.tol, center=args.center)
+    elif args.s is not None or args.sigma_sq is not None:
+        raise ConfigError(f"variant {args.variant!r} forbids --s and --sigma-sq")
+    report = run_test(args.variant.replace("-", "_"), X, args.lam, s=args.s,
+                      sigma_sq=args.sigma_sq, budget=args.budget, tol=args.tol,
+                      center=args.center)
     return report.to_dict()
 
 
 def _run_calibrate(args):
-    family = args.family.replace("-", "_")
-    if family == "oracle" and args.s is None:
-        raise ConfigError("family 'oracle' requires --s")
-    lam = calibrate_lambda(
-        family,
-        args.n,
-        p=args.p,
-        s=args.s,
-        delta=args.delta,
-        reps=args.reps,
-        seed=args.seed,
-        budget=args.budget,
-        tol=args.tol,
-    )
+    lam = calibrate_lambda(args.family.replace("-", "_"), args.n, p=args.p, s=args.s,
+                           delta=args.delta, reps=args.reps, seed=args.seed,
+                           budget=args.budget, tol=args.tol)
     return {"family": args.family, "lambda": lam, "delta": args.delta,
             "reps": args.reps, "n": args.n, "p": args.p, "s": args.s,
             "seed": args.seed}
@@ -244,16 +232,11 @@ def _run_simulate(args):
     p = 1 if kind == "uni" else args.p
     spec = PriorSpec(kind=kind, n=args.n, p=p, sigma_sq=args.sigma_sq,
                      rho=args.rho, s=args.s)
-    if family == "uni":
-        test = lambda X: variance_test(X[:, 0], args.lam).reject
-    elif family == "oracle":
-        test = lambda X: covariance_test(
-            X, args.lam, args.s, args.sigma_sq, budget=args.budget
-        ).reject
-    elif family == "adaptive":
-        test = lambda X: adaptive_test(X, args.lam, budget=args.budget).reject
-    else:
-        test = lambda X: adaptive_sdp_test(X, args.lam, tol=args.tol).reject
+
+    def test(X):
+        return run_test(family, X, args.lam, s=args.s, sigma_sq=args.sigma_sq,
+                        budget=args.budget, tol=args.tol).reject
+
     outcome = monte_carlo_errors(test, spec, args.reps, args.seed)
     return {"family": args.family, "prior": {
         "kind": spec.kind, "n": spec.n, "p": spec.p, "s": spec.s,

@@ -26,8 +26,6 @@ __all__ = [
     "minimax_rate",
     "scan_rate",
     "scan_rate_relaxed",
-    "prefix_covariance",
-    "suffix_covariance",
     "CovarianceScan",
     "signal_strength_uni",
     "signal_strength_multi",
@@ -168,31 +166,16 @@ def _check_window(t, n):
     return t
 
 
-def prefix_covariance(X, t) -> np.ndarray:
-    """Normalized second-moment matrix of the first ``t`` rows,
-    ``(1/t) * sum_{i<=t} X_i X_i^T``. Symmetric positive semidefinite."""
-    X = as_series(X)
-    t = _check_window(t, X.shape[0])
-    block = X[:t]
-    M = block.T @ block / t
-    return (M + M.T) / 2.0
-
-
-def suffix_covariance(X, t) -> np.ndarray:
-    """Normalized second-moment matrix of the last ``t`` rows."""
-    X = as_series(X)
-    t = _check_window(t, X.shape[0])
-    block = X[X.shape[0] - t:]
-    M = block.T @ block / t
-    return (M + M.T) / 2.0
-
-
 class CovarianceScan:
     """Prefix and suffix second-moment matrices over an increasing window grid.
 
-    The unnormalized sums are accumulated incrementally across the grid, so
-    evaluating every window in ``dyadic_grid(n)`` costs ``O(n * p**2)`` in
-    total rather than ``O(n * p**2)`` per window.
+    ``prefix(t)`` is ``(1/t) * sum_{i<=t} X_i X_i^T`` over the first ``t``
+    rows and ``suffix(t)`` the same over the last ``t``; both are symmetric
+    positive semidefinite. The unnormalized sums are accumulated
+    incrementally across the grid, so evaluating every window in
+    ``dyadic_grid(n)`` costs ``O(n * p**2)`` in total rather than
+    ``O(n * p**2)`` per window. A one-window grid ``[w]`` gives the matrices
+    of that single window.
     """
 
     def __init__(self, X, grid=None):
@@ -211,20 +194,22 @@ class CovarianceScan:
             suf_block = self.X[n - t:n - prev]
             acc_pre = acc_pre + pre_block.T @ pre_block
             acc_suf = acc_suf + suf_block.T @ suf_block
-            self._prefix[t] = (acc_pre + acc_pre.T) / (2.0 * t)
-            self._suffix[t] = (acc_suf + acc_suf.T) / (2.0 * t)
+            M_pre, M_suf = acc_pre / t, acc_suf / t
+            self._prefix[t] = (M_pre + M_pre.T) / 2.0
+            self._suffix[t] = (M_suf + M_suf.T) / 2.0
             prev = t
         self.grid = grid
 
+    def _window(self, table, t):
+        if t not in table:
+            raise InvalidInputError(f"window t={t} is not on this scan's grid {self.grid}")
+        return table[t]
+
     def prefix(self, t) -> np.ndarray:
-        if t not in self._prefix:
-            return prefix_covariance(self.X, t)
-        return self._prefix[t]
+        return self._window(self._prefix, t)
 
     def suffix(self, t) -> np.ndarray:
-        if t not in self._suffix:
-            return suffix_covariance(self.X, t)
-        return self._suffix[t]
+        return self._window(self._suffix, t)
 
     def difference(self, t) -> np.ndarray:
         """``prefix(t) - suffix(t)``, the scanned covariance change."""

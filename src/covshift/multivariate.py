@@ -1,6 +1,9 @@
 """Covariance changepoint tests for multivariate series.
 
-Three variants share the scan over the dyadic window grid:
+Three variants run one shared scan over the dyadic window grid and a
+sparsity set. Each works out a noise scale per sparsity (or why that
+sparsity is skipped), a cell statistic and a threshold rate, and the scan
+evaluates every ``(t, s)`` cell in the same order:
 
 * ``covariance_test``: both the sparsity ``s`` of the change and the
   nominal noise level ``sigma_sq`` are known.
@@ -16,19 +19,18 @@ statistic or in the skipped list with a reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .core import (
     CovarianceScan,
+    _check_count,
     as_series,
     center_columns,
-    prefix_covariance,
     scan_rate,
     scan_rate_relaxed,
     sparsity_grid,
-    suffix_covariance,
     minimax_rate,
 )
 from .exceptions import (
@@ -42,7 +44,6 @@ from .sparse_eig import DEFAULT_BUDGET, sparse_abs_eigmax
 __all__ = [
     "MultiTestCell",
     "MultiTestReport",
-    "cov_cusum_stat",
     "covariance_test",
     "adaptive_test",
     "adaptive_sdp_test",
@@ -85,18 +86,7 @@ class MultiTestReport:
             "lambda": self.lam,
             "n": self.n,
             "p": self.p,
-            "cells": [
-                {
-                    "t": c.t,
-                    "s": c.s,
-                    "stat": c.stat,
-                    "noise_scale": c.noise_scale,
-                    "threshold": c.threshold,
-                    "triggered": c.triggered,
-                    "converged": c.converged,
-                }
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
             "skipped": [{"t": t, "s": s, "reason": r} for t, s, r in self.skipped],
         }
 
@@ -105,14 +95,6 @@ def _check_lam(lam):
     if not (lam > 0) or math.isnan(lam):
         raise InvalidInputError(f"lambda must be positive, got {lam}")
     return float(lam)
-
-
-def cov_cusum_stat(X, t, s, budget: int = DEFAULT_BUDGET) -> float:
-    """Largest absolute s-sparse eigenvalue of the prefix/suffix covariance
-    difference at window ``t``."""
-    X = as_series(X)
-    diff = prefix_covariance(X, t) - suffix_covariance(X, t)
-    return sparse_abs_eigmax(diff, s, budget=budget).value
 
 
 def sparse_noise_level(X, s, budget: int = DEFAULT_BUDGET) -> float:
@@ -131,8 +113,9 @@ def sparse_noise_level(X, s, budget: int = DEFAULT_BUDGET) -> float:
         raise NoiseWindowError(
             f"noise window ceil(rate)={w} for s={s} does not fit twice in n={n}"
         )
-    pre = sparse_abs_eigmax(prefix_covariance(X, w), s, budget=budget).value
-    suf = sparse_abs_eigmax(suffix_covariance(X, w), s, budget=budget).value
+    window = CovarianceScan(X, [w])
+    pre = sparse_abs_eigmax(window.prefix(w), s, budget=budget).value
+    suf = sparse_abs_eigmax(window.suffix(w), s, budget=budget).value
     return min(pre, suf)
 
 
@@ -151,9 +134,61 @@ def entrywise_noise_level(X) -> float:
             f"noise window ceil(log(e*p))={w} does not fit twice in n={n}; "
             f"the estimator needs n >= {2 * w} samples"
         )
-    pre = float(np.abs(prefix_covariance(X, w)).max())
-    suf = float(np.abs(suffix_covariance(X, w)).max())
+    window = CovarianceScan(X, [w])
+    pre = float(np.abs(window.prefix(w)).max())
+    suf = float(np.abs(window.suffix(w)).max())
     return min(pre, suf)
+
+
+def _scan(variant, X, lam, noise, stat, rate) -> MultiTestReport:
+    """The (t, s) scan that every covariance test runs.
+
+    ``noise`` maps each sparsity, in scan order, to its noise scale or to
+    the reason it is skipped; ``stat(diff, s)`` returns a cell's
+    ``(statistic, converged)``. A cell triggers when its statistic exceeds
+    ``lam * noise[s] * rate(p, n, s, t)``.
+    """
+    n, p = X.shape
+    scan = CovarianceScan(X)
+    cells = []
+    skipped = []
+    for t in scan.grid:
+        diff = scan.difference(t)
+        for s, scale in noise.items():
+            if isinstance(scale, str):
+                skipped.append((t, s, scale))
+                continue
+            value, converged = stat(diff, s)
+            threshold = lam * scale * rate(p, n, s, t)
+            cells.append(
+                MultiTestCell(
+                    t=t,
+                    s=s,
+                    stat=value,
+                    noise_scale=scale,
+                    threshold=threshold,
+                    triggered=value > threshold,
+                    converged=converged,
+                )
+            )
+    if not cells:
+        raise UndecidableInputError(
+            "every (t, s) cell was skipped; the sample is too short for any "
+            "sparsity in the scan"
+        )
+    return MultiTestReport(
+        reject=any(c.triggered for c in cells),
+        variant=variant,
+        lam=lam,
+        n=n,
+        p=p,
+        cells=tuple(cells),
+        skipped=tuple(skipped),
+    )
+
+
+def _exact_stat(budget):
+    return lambda diff, s: (sparse_abs_eigmax(diff, s, budget=budget).value, True)
 
 
 def covariance_test(
@@ -168,32 +203,10 @@ def covariance_test(
     lam = _check_lam(lam)
     if not (sigma_sq > 0):
         raise InvalidInputError(f"sigma_sq must be positive, got {sigma_sq}")
+    s = _check_count(s, "s")
     if center:
         X = center_columns(X)
-    n, p = X.shape
-    scan = CovarianceScan(X)
-    cells = []
-    for t in scan.grid:
-        stat = sparse_abs_eigmax(scan.difference(t), s, budget=budget).value
-        threshold = lam * sigma_sq * scan_rate(p, n, s, t)
-        cells.append(
-            MultiTestCell(
-                t=t,
-                s=int(s),
-                stat=stat,
-                noise_scale=float(sigma_sq),
-                threshold=threshold,
-                triggered=stat > threshold,
-            )
-        )
-    return MultiTestReport(
-        reject=any(c.triggered for c in cells),
-        variant="oracle",
-        lam=lam,
-        n=n,
-        p=p,
-        cells=tuple(cells),
-    )
+    return _scan("oracle", X, lam, {s: float(sigma_sq)}, _exact_stat(budget), scan_rate)
 
 
 def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) -> MultiTestReport:
@@ -209,53 +222,16 @@ def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) ->
     if center:
         X = center_columns(X)
     n, p = X.shape
-    scan = CovarianceScan(X)
-
     noise = {}
-    skip_reason = {}
     for s in sparsity_grid(p):
         if minimax_rate(p, n, s) > n:
-            skip_reason[s] = "rate exceeds n"
+            noise[s] = "rate exceeds n"
             continue
         try:
             noise[s] = sparse_noise_level(X, s, budget=budget)
         except NoiseWindowError:
-            skip_reason[s] = "noise window does not fit"
-
-    cells = []
-    skipped = []
-    for t in scan.grid:
-        diff = scan.difference(t)
-        for s in sparsity_grid(p):
-            if s in skip_reason:
-                skipped.append((t, s, skip_reason[s]))
-                continue
-            stat = sparse_abs_eigmax(diff, s, budget=budget).value
-            threshold = lam * noise[s] * scan_rate(p, n, s, t)
-            cells.append(
-                MultiTestCell(
-                    t=t,
-                    s=s,
-                    stat=stat,
-                    noise_scale=noise[s],
-                    threshold=threshold,
-                    triggered=stat > threshold,
-                )
-            )
-    if not cells:
-        raise UndecidableInputError(
-            "every (t, s) cell was skipped; the sample is too short for any "
-            "sparsity in the scan"
-        )
-    return MultiTestReport(
-        reject=any(c.triggered for c in cells),
-        variant="adaptive",
-        lam=lam,
-        n=n,
-        p=p,
-        cells=tuple(cells),
-        skipped=tuple(skipped),
-    )
+            noise[s] = "noise window does not fit"
+    return _scan("adaptive", X, lam, noise, _exact_stat(budget), scan_rate)
 
 
 def adaptive_sdp_test(
@@ -277,35 +253,14 @@ def adaptive_sdp_test(
     lam = _check_lam(lam)
     if center:
         X = center_columns(X)
-    n, p = X.shape
     try:
         noise = entrywise_noise_level(X)
     except NoiseWindowError as exc:
         raise UndecidableInputError(str(exc)) from exc
-    scan = CovarianceScan(X)
 
-    cells = []
-    for t in scan.grid:
-        diff = scan.difference(t)
-        for s in sparsity_grid(p):
-            sol = relaxed_sparse_eigmax(diff, s, tol=tol, max_iter=max_iter)
-            threshold = lam * noise * scan_rate_relaxed(p, n, s, t)
-            cells.append(
-                MultiTestCell(
-                    t=t,
-                    s=s,
-                    stat=sol.lower,
-                    noise_scale=noise,
-                    threshold=threshold,
-                    triggered=sol.lower > threshold,
-                    converged=sol.converged,
-                )
-            )
-    return MultiTestReport(
-        reject=any(c.triggered for c in cells),
-        variant="adaptive_sdp",
-        lam=lam,
-        n=n,
-        p=p,
-        cells=tuple(cells),
-    )
+    def stat(diff, s):
+        sol = relaxed_sparse_eigmax(diff, s, tol=tol, max_iter=max_iter)
+        return sol.lower, sol.converged
+
+    noise = dict.fromkeys(sparsity_grid(X.shape[1]), noise)
+    return _scan("adaptive_sdp", X, lam, noise, stat, scan_rate_relaxed)

@@ -10,7 +10,7 @@ on execution order or thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,13 +39,43 @@ __all__ = [
     "calibrate_lambda",
     "detection_boundary_uni",
     "FAMILIES",
+    "run_test",
 ]
 
 # Stream tags keep the null, prior, data, and calibration draws on disjoint
 # Philox streams for the same user seed.
 _S_NULL, _S_PRIOR, _S_DATA, _S_CAL = 1, 2, 3, 4
 
-FAMILIES = ("uni", "oracle", "adaptive", "adaptive_sdp")
+# How ``run_test`` calls each family's test. The tests are looked up in this
+# module's globals at call time, not bound here, so a wrapper placed on
+# ``covshift.simulate.<test>`` sees every call made through the table.
+_FAMILY_TESTS = {
+    "uni": lambda X, lam, center, **_: variance_test(X, lam, center=center),
+    "oracle": lambda X, lam, s, sigma_sq, budget, center, **_:
+        covariance_test(X, lam, s, sigma_sq, budget=budget, center=center),
+    "adaptive": lambda X, lam, budget, center, **_:
+        adaptive_test(X, lam, budget=budget, center=center),
+    "adaptive_sdp": lambda X, lam, tol, max_iter, center, **_:
+        adaptive_sdp_test(X, lam, tol=tol, max_iter=max_iter, center=center),
+}
+FAMILIES = tuple(_FAMILY_TESTS)
+
+
+def _check_family(family):
+    if family not in _FAMILY_TESTS:
+        raise InvalidInputError(f"unknown test family {family!r}; choose from {FAMILIES}")
+
+
+def run_test(family, X, lam, s=None, sigma_sq=1.0, budget: int = DEFAULT_BUDGET,
+             tol: float = 1e-3, max_iter: int = 5000, center: bool = False):
+    """Report of the ``family`` test (one of ``FAMILIES``) on ``X`` at
+    threshold multiplier ``lam``. ``s`` and ``sigma_sq`` are the oracle's
+    known sparsity and noise level, ``budget`` bounds the exact scans'
+    sparse-eigenvalue search and ``tol``/``max_iter`` the relaxation solver;
+    a family ignores the arguments it has no use for."""
+    _check_family(family)
+    return _FAMILY_TESTS[family](X, lam, s=s, sigma_sq=sigma_sq, budget=budget, tol=tol,
+                                 max_iter=max_iter, center=center)
 
 
 def _rng(entropy) -> np.random.Generator:
@@ -376,16 +406,7 @@ class SimOutcome:
     failed_alt: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "type1": self.type1,
-            "type2": self.type2,
-            "se1": self.se1,
-            "se2": self.se2,
-            "reps": self.reps,
-            "seed": self.seed,
-            "failed_null": self.failed_null,
-            "failed_alt": self.failed_alt,
-        }
+        return asdict(self)
 
 
 def _binom_se(rate, reps):
@@ -432,22 +453,6 @@ def monte_carlo_errors(test, spec: PriorSpec, reps, seed) -> SimOutcome:
     )
 
 
-def _null_max_standardized(family, X, s, budget, tol, max_iter):
-    """Largest statistic-to-rate ratio over scan cells for a null dataset;
-    calibrating lambda is taking a null quantile of this maximum."""
-    if family == "uni":
-        report = variance_test(X[:, 0], 1.0)
-    elif family == "oracle":
-        report = covariance_test(X, 1.0, s, 1.0, budget=budget)
-    elif family == "adaptive":
-        report = adaptive_test(X, 1.0, budget=budget)
-    elif family == "adaptive_sdp":
-        report = adaptive_sdp_test(X, 1.0, tol=tol, max_iter=max_iter)
-    else:
-        raise InvalidInputError(f"unknown test family {family!r}; choose from {FAMILIES}")
-    return max(c.stat / c.threshold for c in report.cells)
-
-
 def calibrate_lambda(
     family,
     n,
@@ -469,8 +474,7 @@ def calibrate_lambda(
     minimum). The result is the threshold multiplier ``lam`` giving the
     corresponding test an approximate level of ``delta``.
     """
-    if family not in FAMILIES:
-        raise InvalidInputError(f"unknown test family {family!r}; choose from {FAMILIES}")
+    _check_family(family)
     if family == "uni" and p != 1:
         raise InvalidInputError("family 'uni' requires p=1")
     if family == "oracle" and s is None:
@@ -485,7 +489,8 @@ def calibrate_lambda(
     stats = np.empty(reps)
     for r in range(reps):
         X = null_series(n, p, 1.0, [seed, r, _S_CAL])
-        stats[r] = _null_max_standardized(family, X, s, budget, tol, max_iter)
+        report = run_test(family, X, 1.0, s=s, budget=budget, tol=tol, max_iter=max_iter)
+        stats[r] = max(c.stat / c.threshold for c in report.cells)
     return float(np.quantile(stats, 1.0 - delta, method="higher"))
 
 

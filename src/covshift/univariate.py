@@ -9,17 +9,16 @@ window come from one pass of cumulative sums of squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .core import as_series, center_columns, dyadic_grid, loglog8n
-from .exceptions import DegenerateDataError, InvalidInputError
+from .exceptions import InvalidInputError
 
 __all__ = [
     "UniTestCell",
     "UniTestReport",
-    "variance_ratio_stat",
     "variance_test",
     "operation_count",
 ]
@@ -42,26 +41,6 @@ def _as_univariate(x) -> np.ndarray:
 def _cumulative_squares(x: np.ndarray) -> np.ndarray:
     _ops["count"] += x.size
     return np.cumsum(x * x)
-
-
-def variance_ratio_stat(x, t) -> float:
-    """Variance-ratio statistic at window ``t``.
-
-    With ``v1`` and ``v2`` the empirical variances of the first and last
-    ``t`` observations, returns ``max(v1/v2, v2/v1) - 1``. Raises
-    ``DegenerateDataError`` if either window has zero empirical variance.
-    """
-    x = _as_univariate(x)
-    n = x.size
-    if not (1 <= t <= n // 2):
-        raise InvalidInputError(f"t={t} must satisfy 1 <= t <= floor(n/2)={n // 2}")
-    v1 = float(np.sum(x[:t] ** 2)) / t
-    v2 = float(np.sum(x[n - t:] ** 2)) / t
-    if v1 <= 0.0 or v2 <= 0.0:
-        raise DegenerateDataError(
-            f"zero empirical variance at window t={t} (prefix={v1}, suffix={v2})"
-        )
-    return max(v1 / v2, v2 / v1) - 1.0
 
 
 @dataclass(frozen=True)
@@ -91,10 +70,7 @@ class UniTestReport:
             "reject": self.reject,
             "lambda": self.lam,
             "n": self.n,
-            "cells": [
-                {"t": c.t, "stat": c.stat, "threshold": c.threshold, "triggered": c.triggered}
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
             "skipped": [{"t": t, "reason": r} for t, r in self.skipped],
         }
 

@@ -14,13 +14,11 @@ from covshift import (
     detectability_ratio_floor,
     dyadic_grid,
     loglog8n,
-    prefix_covariance,
     scan_rate,
     scan_rate_relaxed,
     signal_strength_multi,
     signal_strength_uni,
     sparsity_grid,
-    suffix_covariance,
     minimax_rate,
 )
 from covshift.core import sym_matrix
@@ -134,55 +132,80 @@ class TestRates:
             assert scan_rate_relaxed(p, n, s + 1, t) >= scan_rate_relaxed(p, n, s, t) - 1e-12
 
 
+def window(X, t):
+    """Prefix and suffix second moments of one window, from a one-window scan."""
+    scan = CovarianceScan(X, [t])
+    return scan.prefix(t), scan.suffix(t)
+
+
 class TestMoments:
     def test_unit_direction_rows(self):
         X = np.zeros((10, 3))
         X[:, 0] = 1.0
         for t in (1, 2, 5):
-            M = prefix_covariance(X, t)
             expect = np.zeros((3, 3))
             expect[0, 0] = 1.0
-            np.testing.assert_allclose(M, expect)
-            np.testing.assert_allclose(suffix_covariance(X, t), expect)
+            pre, suf = window(X, t)
+            np.testing.assert_allclose(pre, expect)
+            np.testing.assert_allclose(suf, expect)
 
     def test_t_equals_one_is_outer_product(self, rng):
         X = rng.standard_normal((6, 4))
-        np.testing.assert_allclose(prefix_covariance(X, 1), np.outer(X[0], X[0]))
-        np.testing.assert_allclose(suffix_covariance(X, 1), np.outer(X[-1], X[-1]))
+        pre, suf = window(X, 1)
+        np.testing.assert_allclose(pre, np.outer(X[0], X[0]))
+        np.testing.assert_allclose(suf, np.outer(X[-1], X[-1]))
 
     def test_scalar_case_is_mean_square(self, rng):
         x = rng.standard_normal(20)
         for t in (1, 3, 10):
-            assert prefix_covariance(x, t)[0, 0] == pytest.approx(np.mean(x[:t] ** 2))
-            assert suffix_covariance(x, t)[0, 0] == pytest.approx(np.mean(x[-t:] ** 2))
+            pre, suf = window(x, t)
+            assert pre[0, 0] == pytest.approx(np.mean(x[:t] ** 2))
+            assert suf[0, 0] == pytest.approx(np.mean(x[-t:] ** 2))
+
+    def test_one_window_equals_numpy_formula(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            X = rng.standard_normal((n, int(rng.integers(1, 9))))
+            t = int(rng.integers(1, n // 2 + 1))
+            head, tail = X[:t], X[n - t:]
+            pre, suf = window(X, t)
+            assert np.array_equal(pre, head.T @ head / t)
+            assert np.array_equal(suf, tail.T @ tail / t)
 
     def test_psd_invariant(self, rng):
         for _ in range(50):
             n = int(rng.integers(4, 40))
             p = int(rng.integers(1, 6))
             X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10)
-            for t in dyadic_grid(n):
-                M = prefix_covariance(X, t)
+            scan = CovarianceScan(X)
+            for t in scan.grid:
+                M = scan.prefix(t)
                 w = np.linalg.eigvalsh(M)
                 assert w[0] >= -1e-10 * max(np.trace(M), 1e-300)
 
     def test_window_bounds(self, rng):
         X = rng.standard_normal((9, 2))
         with pytest.raises(InvalidInputError):
-            prefix_covariance(X, 5)  # floor(9/2) = 4
+            CovarianceScan(X, [5])  # floor(9/2) = 4
         with pytest.raises(InvalidInputError):
-            suffix_covariance(X, 0)
+            CovarianceScan(X, [0])
+
+    def test_off_grid_window_raises(self, rng):
+        scan = CovarianceScan(rng.standard_normal((37, 3)))
+        for t in (3, 17, 32):
+            with pytest.raises(InvalidInputError, match="grid"):
+                scan.prefix(t)
+            with pytest.raises(InvalidInputError, match="grid"):
+                scan.suffix(t)
 
     def test_scan_table_matches_direct(self, rng):
         X = rng.standard_normal((37, 3))
         scan = CovarianceScan(X)
         for t in scan.grid:
-            np.testing.assert_allclose(scan.prefix(t), prefix_covariance(X, t), atol=1e-12)
-            np.testing.assert_allclose(scan.suffix(t), suffix_covariance(X, t), atol=1e-12)
-            np.testing.assert_allclose(
-                scan.difference(t), prefix_covariance(X, t) - suffix_covariance(X, t),
-                atol=1e-12,
-            )
+            pre, suf = window(X, t)
+            np.testing.assert_allclose(scan.prefix(t), pre, atol=1e-12)
+            np.testing.assert_allclose(scan.suffix(t), suf, atol=1e-12)
+            np.testing.assert_allclose(scan.difference(t), pre - suf, atol=1e-12)
 
 
 class TestSignalStrength:

@@ -11,7 +11,6 @@ from covshift import (
     UndecidableInputError,
     adaptive_sdp_test,
     adaptive_test,
-    cov_cusum_stat,
     covariance_test,
     dyadic_grid,
     entrywise_noise_level,
@@ -21,10 +20,15 @@ from covshift import (
     sparsity_grid,
     variance_test,
 )
-from covshift.core import prefix_covariance, suffix_covariance
+from covshift.core import CovarianceScan
 from covshift.simulate import null_series
 
 from conftest import rand_sym
+
+
+def cell_stats(X, s, **kwargs):
+    """Oracle-scan statistic per window ``t``."""
+    return {c.t: c.stat for c in covariance_test(X, 1.0, s, 1.0, **kwargs).cells}
 
 
 class TestStatistic:
@@ -33,26 +37,26 @@ class TestStatistic:
         middle = rng.standard_normal((8, 3))
         X = np.vstack([block, middle, block])
         for s in (1, 2, 3):
-            assert cov_cusum_stat(X, 4, s) == pytest.approx(0.0, abs=1e-12)
+            assert cell_stats(X, s)[4] == pytest.approx(0.0, abs=1e-12)
 
     def test_scalar_case_is_absolute_difference(self, rng):
         x = rng.standard_normal(30)
-        for t in (1, 4, 15):
+        stats = cell_stats(x, 1)
+        for t in (1, 4, 8):
             expect = abs(np.mean(x[:t] ** 2) - np.mean(x[-t:] ** 2))
-            assert cov_cusum_stat(x, t, 1) == pytest.approx(expect, rel=1e-12)
+            assert stats[t] == pytest.approx(expect, rel=1e-12)
 
     def test_full_sparsity_matches_operator_norm(self, rng):
         X = rng.standard_normal((40, 5))
-        for t in (2, 8, 20):
-            diff = prefix_covariance(X, t) - suffix_covariance(X, t)
-            assert cov_cusum_stat(X, t, 5) == pytest.approx(
-                operator_norm(diff), rel=1e-12
-            )
+        scan = CovarianceScan(X)
+        stats = cell_stats(X, 5)
+        for t in (2, 8, 16):
+            assert stats[t] == pytest.approx(operator_norm(scan.difference(t)), rel=1e-12)
 
     def test_budget_error_names_relaxation(self):
         X = np.random.default_rng(0).standard_normal((60, 25))
         with pytest.raises(EnumerationBudgetError, match="relaxation"):
-            cov_cusum_stat(X, 10, 12)
+            cell_stats(X, 12)
 
 
 class TestNoiseEstimates:
@@ -68,8 +72,8 @@ class TestNoiseEstimates:
         half = rng.standard_normal((32, 3))
         X = np.vstack([half, half[::-1]])
         w = math.ceil(minimax_rate(3, 64, 2))
-        pre = prefix_covariance(X, w)
-        suf = suffix_covariance(X, w)
+        window = CovarianceScan(X, [w])
+        pre, suf = window.prefix(w), window.suffix(w)
         np.testing.assert_allclose(pre, suf, atol=1e-12)
         # the min over two identical windows is either window's value
         assert sparse_noise_level(X, 2) == pytest.approx(

@@ -16,7 +16,6 @@ from covshift import (
     adaptive_test,
     minimax_rate,
     operator_norm,
-    prefix_covariance,
     sparse_abs_eigmax,
     sparsity_grid,
 )
@@ -215,8 +214,8 @@ class TestMatchesEnumeration:
         X = null_series(256, 16, 1.0, [5, 0, 1])
         for s in sparsity_grid(16)[1:]:
             w = math.ceil(minimax_rate(16, 256, s))
-            assert_matches_enumeration(prefix_covariance(X, w), s)
-            assert_matches_enumeration(prefix_covariance(X, 3), s)
+            assert_matches_enumeration(CovarianceScan(X, [w]).prefix(w), s)
+            assert_matches_enumeration(CovarianceScan(X, [3]).prefix(3), s)
 
     def test_covariance_scan_differences(self):
         spec = PriorSpec("multi", n=256, p=16, sigma_sq=1.0, rho=40.0, s=4)

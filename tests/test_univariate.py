@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from covshift import (
-    DegenerateDataError,
     InvalidInputError,
     loglog8n,
-    variance_ratio_stat,
     variance_test,
 )
 from covshift.simulate import calibrate_lambda, null_series, sample_alternative, sample_series
@@ -17,22 +15,25 @@ from covshift.simulate import PriorSpec
 from covshift import univariate
 
 
+def cell_stats(x):
+    """Scan statistic per window ``t``."""
+    return {c.t: c.stat for c in variance_test(x, 1.0).cells}
+
+
 class TestStatistic:
     def test_equal_variances(self):
-        assert variance_ratio_stat([1.0, -1.0, 1.0, -1.0], 2) == 0.0
+        assert cell_stats([1.0, -1.0, 1.0, -1.0]) == {1: 0.0, 2: 0.0}
 
     def test_hand_values(self):
-        x = [1.0, 1.0, 2.0, 2.0]
-        assert variance_ratio_stat(x, 2) == pytest.approx(3.0)
-        assert variance_ratio_stat(x, 1) == pytest.approx(3.0)
+        stats = cell_stats([1.0, 1.0, 2.0, 2.0])
+        assert stats == {1: pytest.approx(3.0), 2: pytest.approx(3.0)}
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateDataError):
-            variance_ratio_stat([0.0, 0.0, 1.0, 1.0], 2)
+        # one zero-variance side is an infinite ratio, not an error
+        assert cell_stats([0.0, 0.0, 1.0, 1.0]) == {1: math.inf, 2: math.inf}
 
     def test_window_range(self):
-        with pytest.raises(InvalidInputError):
-            variance_ratio_stat([1.0, 2.0, 3.0], 2)  # floor(3/2) = 1
+        assert list(cell_stats([1.0, 2.0, 3.0])) == [1]  # floor(3/2) = 1
 
 
 class TestScan:
