@@ -199,8 +199,6 @@ def _config_dict(args) -> dict:
 
 def _run_test_uni(args):
     X = read_csv_series(args.input)
-    if X.shape[1] != 1:
-        raise ConfigError(f"test-uni expects one column, got {X.shape[1]}")
     return run_test("uni", X, args.lam, center=args.center).to_dict()
 
 
@@ -280,10 +278,7 @@ def main(argv=None) -> int:
     try:
         _validate_common(args)
         result = _RUNNERS[args.command](args)
-    except (ConfigError, InvalidInputError) as exc:
-        sys.stderr.write(f"covshift: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ConfigError, InvalidInputError, OSError) as exc:
         sys.stderr.write(f"covshift: {exc}\n")
         return 2
     except Exception as exc:

@@ -10,15 +10,12 @@ not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidInputError, SignalDomainError
 
 __all__ = [
-    "as_series",
-    "sym_matrix",
     "center_columns",
     "dyadic_grid",
     "sparsity_grid",
@@ -30,8 +27,6 @@ __all__ = [
     "signal_strength_uni",
     "signal_strength_multi",
     "detectability_ratio_floor",
-    "UniSignal",
-    "MultiSignal",
     "operator_norm",
 ]
 
@@ -223,7 +218,7 @@ def signal_strength_uni(t0, n, sigma1_sq, sigma2_sq) -> float:
     t0 = _check_count(t0, "t0", minimum=1)
     if t0 > n - 1:
         raise InvalidInputError(f"t0 must be in [1, n-1]=[1, {n - 1}], got {t0}")
-    if sigma1_sq <= 0 or sigma2_sq <= 0:
+    if not (sigma1_sq > 0 and sigma2_sq > 0):
         raise InvalidInputError("variances must be strictly positive")
     ratio = abs(sigma1_sq - sigma2_sq) / min(sigma1_sq, sigma2_sq)
     return min(t0, n - t0) * min(ratio, ratio * ratio)
@@ -276,52 +271,3 @@ def detectability_ratio_floor(p, n, s, t0, c) -> float:
     x = c * g / delta
     return 1.0 + max(x, math.sqrt(x))
 
-
-@dataclass(frozen=True)
-class UniSignal:
-    """A variance-change alternative: location, pre/post variances, and the
-    derived signal strength ``rho``."""
-
-    t0: int
-    n: int
-    sigma1_sq: float
-    sigma2_sq: float
-
-    def __post_init__(self):
-        signal_strength_uni(self.t0, self.n, self.sigma1_sq, self.sigma2_sq)
-
-    @property
-    def rho(self) -> float:
-        return signal_strength_uni(self.t0, self.n, self.sigma1_sq, self.sigma2_sq)
-
-
-@dataclass(frozen=True)
-class MultiSignal:
-    """A covariance-change alternative with claimed sparsity ``s``.
-
-    ``sigma_sq`` is the nominal noise level (the larger operator norm) and
-    ``rho`` the derived signal strength.
-    """
-
-    t0: int
-    n: int
-    Sigma1: np.ndarray
-    Sigma2: np.ndarray
-    s: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "Sigma1", sym_matrix(self.Sigma1))
-        object.__setattr__(self, "Sigma2", sym_matrix(self.Sigma2))
-        p = self.Sigma1.shape[0]
-        s = _check_count(self.s, "s", minimum=1)
-        if s > p:
-            raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
-        signal_strength_multi(self.t0, self.n, self.Sigma1, self.Sigma2)
-
-    @property
-    def sigma_sq(self) -> float:
-        return max(operator_norm(self.Sigma1), operator_norm(self.Sigma2))
-
-    @property
-    def rho(self) -> float:
-        return signal_strength_multi(self.t0, self.n, self.Sigma1, self.Sigma2)

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "CovshiftError",
+    "InvalidInputError",
+    "SignalDomainError",
+    "EnumerationBudgetError",
+    "NoiseWindowError",
+    "UndecidableInputError",
+]
+
 
 class CovshiftError(Exception):
     """Base of every exception type covshift raises on purpose."""
@@ -12,10 +21,6 @@ class InvalidInputError(CovshiftError, ValueError):
 class SignalDomainError(CovshiftError, ValueError):
     """A signal-strength or shrinkage parameterization is undefined
     (e.g. the covariance change is as large as the nominal noise level)."""
-
-
-class DegenerateDataError(CovshiftError, RuntimeError):
-    """A statistic cannot be formed because an empirical variance is zero."""
 
 
 class EnumerationBudgetError(CovshiftError, RuntimeError):

@@ -234,13 +234,7 @@ def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) ->
     return _scan("adaptive", X, lam, noise, _exact_stat(budget), scan_rate)
 
 
-def adaptive_sdp_test(
-    X,
-    lam,
-    tol: float = 1e-3,
-    max_iter: int = 5000,
-    center: bool = False,
-) -> MultiTestReport:
+def adaptive_sdp_test(X, lam, tol: float = 1e-3, center: bool = False) -> MultiTestReport:
     """Polynomial-time variant of the adaptive scan.
 
     Each cell statistic is the certified lower endpoint of the SDP
@@ -259,7 +253,7 @@ def adaptive_sdp_test(
         raise UndecidableInputError(str(exc)) from exc
 
     def stat(diff, s):
-        sol = relaxed_sparse_eigmax(diff, s, tol=tol, max_iter=max_iter)
+        sol = relaxed_sparse_eigmax(diff, s, tol=tol)
         return sol.lower, sol.converged
 
     noise = dict.fromkeys(sparsity_grid(X.shape[1]), noise)

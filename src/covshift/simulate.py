@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import dyadic_grid, loglog8n, minimax_rate
+from .core import _check_count, dyadic_grid, loglog8n, minimax_rate
 from .exceptions import CovshiftError, InvalidInputError, SignalDomainError
 from .multivariate import adaptive_sdp_test, adaptive_test, covariance_test
 from .sparse_eig import DEFAULT_BUDGET
@@ -55,8 +55,8 @@ _FAMILY_TESTS = {
         covariance_test(X, lam, s, sigma_sq, budget=budget, center=center),
     "adaptive": lambda X, lam, budget, center, **_:
         adaptive_test(X, lam, budget=budget, center=center),
-    "adaptive_sdp": lambda X, lam, tol, max_iter, center, **_:
-        adaptive_sdp_test(X, lam, tol=tol, max_iter=max_iter, center=center),
+    "adaptive_sdp": lambda X, lam, tol, center, **_:
+        adaptive_sdp_test(X, lam, tol=tol, center=center),
 }
 FAMILIES = tuple(_FAMILY_TESTS)
 
@@ -67,15 +67,15 @@ def _check_family(family):
 
 
 def run_test(family, X, lam, s=None, sigma_sq=1.0, budget: int = DEFAULT_BUDGET,
-             tol: float = 1e-3, max_iter: int = 5000, center: bool = False):
+             tol: float = 1e-3, center: bool = False):
     """Report of the ``family`` test (one of ``FAMILIES``) on ``X`` at
     threshold multiplier ``lam``. ``s`` and ``sigma_sq`` are the oracle's
     known sparsity and noise level, ``budget`` bounds the exact scans'
-    sparse-eigenvalue search and ``tol``/``max_iter`` the relaxation solver;
-    a family ignores the arguments it has no use for."""
+    sparse-eigenvalue search and ``tol`` the relaxation solver's gap; a
+    family ignores the arguments it has no use for."""
     _check_family(family)
     return _FAMILY_TESTS[family](X, lam, s=s, sigma_sq=sigma_sq, budget=budget, tol=tol,
-                                 max_iter=max_iter, center=center)
+                                 center=center)
 
 
 def _rng(entropy) -> np.random.Generator:
@@ -103,13 +103,11 @@ class PriorSpec:
     def __post_init__(self):
         if self.kind not in ("uni", "multi"):
             raise InvalidInputError(f"kind must be 'uni' or 'multi', got {self.kind!r}")
-        if self.n < 2:
-            raise InvalidInputError(f"n must be >= 2, got {self.n}")
-        if self.p < 1:
-            raise InvalidInputError(f"p must be >= 1, got {self.p}")
+        _check_count(self.n, "n", minimum=2)
+        _check_count(self.p, "p")
         if self.kind == "uni" and self.p != 1:
             raise InvalidInputError("kind='uni' requires p=1")
-        if not (1 <= self.s <= self.p):
+        if _check_count(self.s, "s") > self.p:
             raise InvalidInputError(f"s must be in [1, p]={self.p}, got {self.s}")
         if not (self.sigma_sq > 0):
             raise InvalidInputError(f"sigma_sq must be positive, got {self.sigma_sq}")
@@ -168,9 +166,9 @@ def sample_alternative(spec: PriorSpec, seed, delta=None) -> AltDraw:
         lmax = (spec.n // 2).bit_length() - 1
         delta = 1 << int(rng.integers(0, lmax + 1))
     else:
-        if not (1 <= delta <= spec.n - 1):
+        delta = _check_count(delta, "delta")
+        if delta > spec.n - 1:
             raise InvalidInputError(f"delta must be in [1, n-1], got {delta}")
-        delta = int(delta)
     kap = variance_shrinkage(delta, spec.rho, spec.sigma_sq)
     if spec.kind == "uni":
         Sigma1 = np.array([[spec.sigma_sq - kap]])
@@ -363,7 +361,7 @@ def mixture_chisq_multi_exact(p, n, s, sigma_sq, rho) -> float:
     """Exact multivariate mixture chi-square by enumerating the overlap law
     (hypergeometric support overlap, binomial sign walk). Practical for
     small ``s``."""
-    if not (1 <= s <= p):
+    if _check_count(s, "s") > _check_count(p, "p"):
         raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
     pairs = _grid_pairs(n, sigma_sq, rho)
     total_supports = math.comb(p, s)
@@ -413,6 +411,13 @@ def _binom_se(rate, reps):
     return math.sqrt(rate * (1.0 - rate) / reps)
 
 
+def _alternative_panel(spec, seed, r):
+    """Replicate ``r``'s data panel: a draw from the prior on stream
+    ``[seed, r, _S_PRIOR]``, then its series on ``[seed, r, _S_DATA]``."""
+    draw = sample_alternative(spec, [seed, r, _S_PRIOR])
+    return sample_series(draw, spec.n, spec.p, [seed, r, _S_DATA])
+
+
 def monte_carlo_errors(test, spec: PriorSpec, reps, seed) -> SimOutcome:
     """Estimate Type I and Type II error rates of a test callable.
 
@@ -432,8 +437,7 @@ def monte_carlo_errors(test, spec: PriorSpec, reps, seed) -> SimOutcome:
                 rejected_null += 1
         except CovshiftError:
             failed_null += 1
-        draw = sample_alternative(spec, [seed, r, _S_PRIOR])
-        X1 = sample_series(draw, spec.n, spec.p, [seed, r, _S_DATA])
+        X1 = _alternative_panel(spec, seed, r)
         try:
             if not test(X1):
                 accepted_alt += 1
@@ -463,7 +467,6 @@ def calibrate_lambda(
     seed=0,
     budget: int = DEFAULT_BUDGET,
     tol: float = 1e-3,
-    max_iter: int = 5000,
 ) -> float:
     """Empirical null quantile of the maximal standardized scan statistic.
 
@@ -489,7 +492,7 @@ def calibrate_lambda(
     stats = np.empty(reps)
     for r in range(reps):
         X = null_series(n, p, 1.0, [seed, r, _S_CAL])
-        report = run_test(family, X, 1.0, s=s, budget=budget, tol=tol, max_iter=max_iter)
+        report = run_test(family, X, 1.0, s=s, budget=budget, tol=tol)
         stats[r] = max(c.stat / c.threshold for c in report.cells)
     return float(np.quantile(stats, 1.0 - delta, method="higher"))
 
@@ -499,12 +502,8 @@ def _power_uni(n, lam, rho, reps, seed, sigma_sq=1.0):
     strength rho. Common random numbers across rho values: replicate r uses
     the same streams regardless of rho."""
     spec = PriorSpec("uni", n=n, p=1, sigma_sq=sigma_sq, rho=rho)
-    rejected = 0
-    for r in range(reps):
-        draw = sample_alternative(spec, [seed, r, _S_PRIOR])
-        X = sample_series(draw, n, 1, [seed, r, _S_DATA])
-        if variance_test(X[:, 0], lam).reject:
-            rejected += 1
+    rejected = sum(run_test("uni", _alternative_panel(spec, seed, r), lam).reject
+                   for r in range(reps))
     return rejected / reps
 
 

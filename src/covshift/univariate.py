@@ -20,15 +20,7 @@ __all__ = [
     "UniTestCell",
     "UniTestReport",
     "variance_test",
-    "operation_count",
 ]
-
-# Elementary accumulation counter backing the O(n) cost assertion in tests.
-_ops = {"count": 0}
-
-
-def operation_count() -> int:
-    return _ops["count"]
 
 
 def _as_univariate(x) -> np.ndarray:
@@ -39,7 +31,6 @@ def _as_univariate(x) -> np.ndarray:
 
 
 def _cumulative_squares(x: np.ndarray) -> np.ndarray:
-    _ops["count"] += x.size
     return np.cumsum(x * x)
 
 

@@ -8,9 +8,7 @@ import pytest
 from covshift import (
     CovarianceScan,
     InvalidInputError,
-    MultiSignal,
     SignalDomainError,
-    UniSignal,
     detectability_ratio_floor,
     dyadic_grid,
     loglog8n,
@@ -218,6 +216,11 @@ class TestSignalStrength:
         with pytest.raises(InvalidInputError):
             signal_strength_uni(4, 4, 1.0, 2.0)
 
+    def test_uni_rejects_nan_variance(self):
+        for variances in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(InvalidInputError):
+                signal_strength_uni(3, 12, *variances)
+
     def test_multi_examples(self):
         I = np.eye(3)
         assert signal_strength_multi(2, 8, I, I) == 0.0
@@ -266,21 +269,6 @@ class TestSignalStrength:
             a = signal_strength_multi(3, 10, S1, S2)
             b = signal_strength_multi(3, 10, c * S1, c * S2)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
-
-    def test_signal_dataclasses_reproduce_rho(self, rng):
-        sig = UniSignal(t0=3, n=12, sigma1_sq=1.0, sigma2_sq=2.5)
-        assert sig.rho == pytest.approx(
-            signal_strength_uni(3, 12, 1.0, 2.5), rel=1e-12
-        )
-        S2 = np.eye(3)
-        S1 = np.eye(3) - 0.4 * np.outer([1, 0, 0], [1, 0, 0])
-        msig = MultiSignal(t0=4, n=16, Sigma1=S1, Sigma2=S2, s=1)
-        assert msig.sigma_sq == pytest.approx(1.0, rel=1e-12)
-        assert msig.rho == pytest.approx(
-            signal_strength_multi(4, 16, S1, S2), rel=1e-12
-        )
-        with pytest.raises(InvalidInputError):
-            MultiSignal(t0=4, n=16, Sigma1=S1, Sigma2=S2, s=9)
 
 
 class TestDetectabilityFloor:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from covshift import (
-    DegenerateDataError,
     InvalidInputError,
     SignalDomainError,
+    UndecidableInputError,
     dyadic_grid,
     loglog8n,
     minimax_lower_bound,
@@ -122,6 +122,21 @@ class TestPriorDraws:
         assert d.delta == 17
         with pytest.raises(InvalidInputError):
             sample_alternative(spec, 0, delta=64)
+
+    def test_fractional_delta_rejected(self):
+        spec = PriorSpec("uni", n=64, p=1, sigma_sq=1.0, rho=2.0)
+        with pytest.raises(InvalidInputError, match="delta must be an integer"):
+            sample_alternative(spec, 0, delta=2.5)
+
+    def test_spec_rejects_non_integer_sizes(self):
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            PriorSpec("uni", n=64.5, p=1, sigma_sq=1.0, rho=2.0)
+        with pytest.raises(InvalidInputError, match="s must be an integer"):
+            PriorSpec("multi", n=64, p=4, sigma_sq=1.0, rho=2.0, s=2.0)
+        with pytest.raises(InvalidInputError, match=r"^n must be >= 2, got 1$"):
+            PriorSpec("uni", n=1, p=1, sigma_sq=1.0, rho=2.0)
+        with pytest.raises(InvalidInputError, match=r"^p must be >= 1, got 0$"):
+            PriorSpec("multi", n=64, p=0, sigma_sq=1.0, rho=2.0)
 
 
 class TestSampleSeries:
@@ -291,6 +306,10 @@ class TestMixtureChisq:
         multi = mixture_chisq_multi_exact(64, 128, 2, 1.0, 6.0)
         assert multi < 0.25 * uni
 
+    def test_exact_rejects_fractional_sparsity(self):
+        with pytest.raises(InvalidInputError, match="s must be an integer"):
+            mixture_chisq_multi_exact(4, 64, 2.0, 1.0, 2.0)
+
 
 class TestMinimaxLowerBound:
     def test_examples(self):
@@ -329,7 +348,7 @@ class TestMonteCarloErrors:
         def flaky(X):
             calls["k"] += 1
             if calls["k"] % 3 == 0:
-                raise DegenerateDataError("boom")
+                raise UndecidableInputError("boom")
             return False
 
         out = monte_carlo_errors(flaky, spec, 30, 0)
