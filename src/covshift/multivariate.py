@@ -32,6 +32,7 @@ from .core import (
     scan_rate_relaxed,
     sparsity_grid,
     minimax_rate,
+    operator_norm,
 )
 from .exceptions import (
     InvalidInputError,
@@ -140,26 +141,44 @@ def entrywise_noise_level(X) -> float:
     return min(pre, suf)
 
 
-def _scan(variant, X, lam, noise, stat, rate) -> MultiTestReport:
+def _scan(variant, X, lam, noise, stat, rate, mode="report"):
     """The (t, s) scan that every covariance test runs.
 
     ``noise`` maps each sparsity, in scan order, to its noise scale or to
     the reason it is skipped; ``stat(diff, s)`` returns a cell's
     ``(statistic, converged)``. A cell triggers when its statistic exceeds
     ``lam * noise[s] * rate(p, n, s, t)``.
+
+    ``mode="max"`` returns only ``max(stat / threshold)`` over the cells,
+    which is all calibration of the SDP family keeps. The s = 1 cells are
+    solved first; every
+    other cell is capped by ``min(operator_norm(diff), s * max|diff|)``,
+    which bounds the exact and the relaxed statistic alike. Those cells are
+    solved in descending order of ``(cap + margin) / threshold``, stopping
+    at the first below the running maximum. The margin,
+    ``1e-9 * max(1, s * max|diff|)``, exceeds any rounding by which a
+    statistic can pass its cap, so no skipped cell could raise the maximum.
     """
     n, p = X.shape
     scan = CovarianceScan(X)
     cells = []
     skipped = []
+    capped = []
     for t in scan.grid:
         diff = scan.difference(t)
+        op = None
         for s, scale in noise.items():
             if isinstance(scale, str):
                 skipped.append((t, s, scale))
                 continue
-            value, converged = stat(diff, s)
             threshold = lam * scale * rate(p, n, s, t)
+            if mode == "max" and s > 1:
+                if op is None:
+                    op, amax = operator_norm(diff), float(np.abs(diff).max())
+                cap = min(op, s * amax) + 1e-9 * max(1.0, s * amax)
+                capped.append((cap / threshold, diff, s, threshold))
+                continue
+            value, converged = stat(diff, s)
             cells.append(
                 MultiTestCell(
                     t=t,
@@ -171,11 +190,18 @@ def _scan(variant, X, lam, noise, stat, rate) -> MultiTestReport:
                     converged=converged,
                 )
             )
-    if not cells:
+    if not cells and not capped:
         raise UndecidableInputError(
             "every (t, s) cell was skipped; the sample is too short for any "
             "sparsity in the scan"
         )
+    if mode == "max":
+        best = max((c.stat / c.threshold for c in cells), default=-math.inf)
+        for bound, diff, s, threshold in sorted(capped, key=lambda c: c[0], reverse=True):
+            if bound < best:
+                break
+            best = max(best, stat(diff, s)[0] / threshold)
+        return best
     return MultiTestReport(
         reject=any(c.triggered for c in cells),
         variant=variant,
@@ -243,6 +269,10 @@ def adaptive_sdp_test(X, lam, tol: float = 1e-3, center: bool = False) -> MultiT
     relaxation solver did not certify its gap are still evaluated and
     flagged via ``converged=False``.
     """
+    return _sdp_scan(X, lam, tol, center)
+
+
+def _sdp_scan(X, lam, tol, center, mode="report"):
     X = as_series(X)
     lam = _check_lam(lam)
     if center:
@@ -257,4 +287,4 @@ def adaptive_sdp_test(X, lam, tol: float = 1e-3, center: bool = False) -> MultiT
         return sol.lower, sol.converged
 
     noise = dict.fromkeys(sparsity_grid(X.shape[1]), noise)
-    return _scan("adaptive_sdp", X, lam, noise, stat, scan_rate_relaxed)
+    return _scan("adaptive_sdp", X, lam, noise, stat, scan_rate_relaxed, mode)

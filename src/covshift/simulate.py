@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import _check_count, dyadic_grid, loglog8n, minimax_rate
 from .exceptions import CovshiftError, InvalidInputError, SignalDomainError
-from .multivariate import adaptive_sdp_test, adaptive_test, covariance_test
+from .multivariate import _sdp_scan, adaptive_sdp_test, adaptive_test, covariance_test
 from .sparse_eig import DEFAULT_BUDGET
 from .univariate import variance_test
 
@@ -213,8 +213,8 @@ def sample_series(draw: AltDraw, n, p, seed) -> np.ndarray:
 
 def null_series(n, p, sigma_sq, seed) -> np.ndarray:
     """``n`` i.i.d. rows of N(0, sigma_sq * I_p)."""
-    rng = _rng(seed)
-    return math.sqrt(sigma_sq) * rng.standard_normal((n, p))
+    shape = (_check_count(n, "n"), _check_count(p, "p"))
+    return math.sqrt(sigma_sq) * _rng(seed).standard_normal(shape)
 
 
 @dataclass(frozen=True)
@@ -342,10 +342,9 @@ def mixture_chisq_multi(p, n, s, sigma_sq, rho, mc_reps, seed) -> tuple[float, f
     ``+-1`` walk stopped at an independent Hypergeometric(p, s, s) step
     count. Returns ``(estimate, standard_error)``.
     """
-    if not (1 <= s <= p):
+    if not (1 <= s <= _check_count(p, "p")):
         raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
-    if mc_reps < 1:
-        raise InvalidInputError(f"mc_reps must be >= 1, got {mc_reps}")
+    s, mc_reps = _check_count(s, "s"), _check_count(mc_reps, "mc_reps")
     pairs = _grid_pairs(n, sigma_sq, rho)
     rng = _rng(seed)
     h = rng.hypergeometric(ngood=s, nbad=p - s, nsample=s, size=mc_reps)
@@ -427,8 +426,7 @@ def monte_carlo_errors(test, spec: PriorSpec, reps, seed) -> SimOutcome:
     replicate derives its own generators from ``(seed, replicate)``, so the
     outcome is independent of evaluation order.
     """
-    if reps < 1:
-        raise InvalidInputError(f"reps must be >= 1, got {reps}")
+    reps = _check_count(reps, "reps")
     rejected_null = accepted_alt = failed_null = failed_alt = 0
     for r in range(reps):
         X0 = null_series(spec.n, spec.p, spec.sigma_sq, [seed, r, _S_NULL])
@@ -475,7 +473,9 @@ def calibrate_lambda(
     cells, and returns the empirical ``1 - delta`` quantile (upper order
     statistic, hence monotone in ``delta``; ``delta=1`` degenerates to the
     minimum). The result is the threshold multiplier ``lam`` giving the
-    corresponding test an approximate level of ``delta``.
+    corresponding test an approximate level of ``delta``. The SDP family's
+    scans solve only the cells that can set each maximum, which leaves it
+    unchanged bit for bit.
     """
     _check_family(family)
     if family == "uni" and p != 1:
@@ -489,11 +489,14 @@ def calibrate_lambda(
             f"reps*delta = {reps * delta} < 5: too few replicates to place "
             f"the 1-delta quantile"
         )
-    stats = np.empty(reps)
+    stats = np.empty(_check_count(reps, "reps"))
     for r in range(reps):
         X = null_series(n, p, 1.0, [seed, r, _S_CAL])
-        report = run_test(family, X, 1.0, s=s, budget=budget, tol=tol)
-        stats[r] = max(c.stat / c.threshold for c in report.cells)
+        if family == "adaptive_sdp":
+            stats[r] = _sdp_scan(X, 1.0, tol, False, "max")
+        else:
+            report = run_test(family, X, 1.0, s=s, budget=budget, tol=tol)
+            stats[r] = max(c.stat / c.threshold for c in report.cells)
     return float(np.quantile(stats, 1.0 - delta, method="higher"))
 
 

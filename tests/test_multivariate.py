@@ -20,8 +20,16 @@ from covshift import (
     sparsity_grid,
     variance_test,
 )
+from covshift import multivariate
 from covshift.core import CovarianceScan
-from covshift.simulate import null_series
+from covshift.simulate import (
+    _S_CAL,
+    PriorSpec,
+    calibrate_lambda,
+    null_series,
+    sample_alternative,
+    sample_series,
+)
 
 from conftest import rand_sym
 
@@ -246,3 +254,67 @@ class TestValidation:
         X = rng.standard_normal((16, 2))
         with pytest.raises(InvalidInputError):
             covariance_test(X, 1.0, 1, 0.0)
+
+
+def _max_scan(X, center=False):
+    """The private max-mode scan that calibrates the SDP family."""
+    return multivariate._sdp_scan(X, 1.0, 1e-3, center, "max")
+
+
+def _panels():
+    """Null, scaled, mean-shifted, alternative and integer-valued panels."""
+    null = null_series(64, 6, 1.0, [71, 0, 1])
+    spec = PriorSpec("multi", n=64, p=6, sigma_sq=1.0, rho=8.0, s=2)
+    alt = sample_series(sample_alternative(spec, [71, 1, 2]), 64, 6, [71, 1, 3])
+    ints = np.random.default_rng(72).integers(-2, 3, size=(64, 6)).astype(float)
+    return {
+        "null": null,
+        "scaled": 40.0 * null,
+        "shifted": null + np.array([3.0, -1.0, 0.0, 0.5, 2.0, -4.0]),
+        "alternative": alt,
+        "integer": ints,
+        "integer-blocks": np.vstack([ints[:16], ints[16:48], ints[:16]]),
+    }
+
+
+class TestMaxMode:
+    """The max mode that calibration of the SDP family uses returns the
+    report path's largest standardized ratio, bit for bit, while solving
+    fewer cells."""
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_equals_report_maximum(self, center):
+        for name, X in _panels().items():
+            report = adaptive_sdp_test(X, 1.0, center=center)
+            want = max(c.stat / c.threshold for c in report.cells)
+            assert _max_scan(X, center) == want, name
+
+    def test_calibration_nulls_equal_report_maximum(self):
+        for r in range(5):
+            X = null_series(256, 16, 1.0, [9, r, _S_CAL])
+            report = adaptive_sdp_test(X, 1.0)
+            want = max(c.stat / c.threshold for c in report.cells)
+            assert _max_scan(X) == want
+
+    def test_all_skipped_raises_like_report(self):
+        X = np.random.default_rng(74).standard_normal((7, 8))
+        with pytest.raises(UndecidableInputError) as report_error:
+            adaptive_sdp_test(X, 1.0)
+        with pytest.raises(UndecidableInputError) as max_error:
+            _max_scan(X)
+        assert str(max_error.value) == str(report_error.value)
+
+    def test_calibration_skips_most_relaxations(self, monkeypatch):
+        relax = multivariate.relaxed_sparse_eigmax
+        sparsities = []
+
+        def counting(A, s, **kwargs):
+            sparsities.append(s)
+            return relax(A, s, **kwargs)
+
+        monkeypatch.setattr(multivariate, "relaxed_sparse_eigmax", counting)
+        reps = 5
+        calibrate_lambda("adaptive_sdp", 256, p=16, delta=1.0, reps=reps, seed=0)
+        # (256, 16) scans 8 windows at s = 2, 4, 8 and 16 beside s = 1
+        assert sparsities.count(1) == reps * 8
+        assert sum(s >= 2 for s in sparsities) < reps * 8 * 4 / 4

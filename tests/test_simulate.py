@@ -30,6 +30,7 @@ from covshift.simulate import (
     mixture_chisq_uni_proof_bound,
     monte_carlo_errors,
     null_series,
+    run_test,
     sample_alternative,
     sample_series,
     variance_shrinkage,
@@ -154,6 +155,12 @@ class TestSampleSeries:
         X = sample_series(draw, 100_001, 4, 12)
         emp = X[:100_000].T @ X[:100_000] / 100_000
         assert np.abs(emp - draw.Sigma1).max() <= 0.05
+
+    def test_null_series_rejects_fractional_sizes(self):
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            null_series(16.5, 1, 1.0, 0)
+        with pytest.raises(InvalidInputError, match="p must be an integer"):
+            null_series(16, 2.0, 1.0, 0)
 
     def test_rank_one_path_matches_target_covariance(self):
         # p > 64 takes the closed rank-one transform instead of Cholesky
@@ -310,6 +317,18 @@ class TestMixtureChisq:
         with pytest.raises(InvalidInputError, match="s must be an integer"):
             mixture_chisq_multi_exact(4, 64, 2.0, 1.0, 2.0)
 
+    def test_monte_carlo_rejects_fractional_counts(self):
+        with pytest.raises(InvalidInputError, match="s must be an integer"):
+            mixture_chisq_multi(4, 64, 2.5, 1.0, 2.0, mc_reps=1000, seed=0)
+        with pytest.raises(InvalidInputError, match="p must be an integer"):
+            mixture_chisq_multi(4.0, 64, 2, 1.0, 2.0, mc_reps=1000, seed=0)
+        with pytest.raises(InvalidInputError, match="mc_reps must be an integer"):
+            mixture_chisq_multi(4, 64, 2, 1.0, 2.0, mc_reps=10.5, seed=0)
+        with pytest.raises(InvalidInputError, match=r"^mc_reps must be >= 1, got 0$"):
+            mixture_chisq_multi(4, 64, 2, 1.0, 2.0, mc_reps=0, seed=0)
+        with pytest.raises(InvalidInputError, match=r"^s must be in \[1, p\]=4, got 0$"):
+            mixture_chisq_multi(4, 64, 0, 1.0, 2.0, mc_reps=10, seed=0)
+
 
 class TestMinimaxLowerBound:
     def test_examples(self):
@@ -371,6 +390,13 @@ class TestMonteCarloErrors:
         b = monte_carlo_errors(test, spec, 40, 9)
         assert a == b
 
+    def test_fractional_reps_rejected(self):
+        spec = PriorSpec("uni", n=16, p=1, sigma_sq=1.0, rho=1.0)
+        with pytest.raises(InvalidInputError, match="reps must be an integer"):
+            monte_carlo_errors(lambda X: True, spec, 2.5, 0)
+        with pytest.raises(InvalidInputError, match=r"^reps must be >= 1, got 0$"):
+            monte_carlo_errors(lambda X: True, spec, 0, 0)
+
     def test_se_formula(self):
         spec = PriorSpec("uni", n=32, p=1, sigma_sq=1.0, rho=1.0)
         out = monte_carlo_errors(lambda X: variance_test(X[:, 0], 2.0).reject, spec, 80, 3)
@@ -382,6 +408,10 @@ class TestCalibration:
     def test_quantile_infeasible(self):
         with pytest.raises(InvalidInputError):
             calibrate_lambda("uni", 64, delta=0.01, reps=100, seed=0)
+
+    def test_fractional_reps_rejected(self):
+        with pytest.raises(InvalidInputError, match="reps must be an integer"):
+            calibrate_lambda("uni", 64, reps=50.5, delta=0.2)
 
     def test_degenerate_delta_returns_minimum(self):
         lam = calibrate_lambda("uni", 64, delta=1.0, reps=40, seed=5)
@@ -414,6 +444,13 @@ class TestCalibration:
         for fam, kw in (("oracle", {"s": 2}), ("adaptive", {}), ("adaptive_sdp", {})):
             lam = calibrate_lambda(fam, 64, p=4, delta=0.2, reps=60, seed=1, **kw)
             assert lam > 0 and math.isfinite(lam)
+            # the same order statistic of the full reports' maxima
+            maxima = [
+                max(c.stat / c.threshold
+                    for c in run_test(fam, null_series(64, 4, 1.0, [1, r, 4]), 1.0, **kw).cells)
+                for r in range(60)
+            ]
+            assert lam == float(np.quantile(maxima, 0.8, method="higher"))
 
 
 class TestDetectionBoundary:
