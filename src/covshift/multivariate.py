@@ -19,7 +19,7 @@ statistic or in the skipped list with a reason.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .core import (
     sparsity_grid,
     minimax_rate,
     operator_norm,
+    sym_matrix,
 )
 from .exceptions import (
     InvalidInputError,
@@ -40,7 +41,7 @@ from .exceptions import (
     UndecidableInputError,
 )
 from .sdp_relax import relaxed_sparse_eigmax
-from .sparse_eig import DEFAULT_BUDGET, sparse_abs_eigmax
+from .sparse_eig import DEFAULT_BUDGET, _check_sparsity, sparse_abs_eigmax
 
 __all__ = [
     "MultiTestCell",
@@ -64,21 +65,53 @@ class MultiTestCell:
     converged: bool = True
 
 
-@dataclass(frozen=True)
 class MultiTestReport:
     """Scan outcome over the window/sparsity grid.
 
     ``reject`` is the OR of ``triggered`` over cells; ``skipped`` holds
     ``(t, s, reason)`` entries for cells that could not be evaluated.
+
+    The tests decide ``reject`` when they are called, solving only the
+    cells that the decision needs. ``cells`` is built when it is first read
+    (``cells``, ``to_dict()``, ``==``, ``repr``) from copies made at call
+    time, and holds the values that solving every cell at call time would
+    give. A report is read-only.
     """
 
-    reject: bool
-    variant: str
-    lam: float
-    n: int
-    p: int
-    cells: tuple[MultiTestCell, ...]
-    skipped: tuple[tuple[int, int, str], ...] = field(default=())
+    __slots__ = ("reject", "variant", "lam", "n", "p", "_cells", "skipped")
+
+    def __init__(self, reject, variant, lam, n, p, cells, skipped=()):
+        # ``cells``: the tuple of cells, or a function that builds it once.
+        for name, value in zip(self.__slots__, (reject, variant, lam, n, p, cells, skipped)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MultiTestReport is read-only; cannot set {name!r}")
+
+    @property
+    def cells(self) -> tuple[MultiTestCell, ...]:
+        if callable(self._cells):
+            object.__setattr__(self, "_cells", self._cells())
+        return self._cells
+
+    def _fields(self):
+        """The values of ``__slots__``, with the cells built."""
+        return (self.reject, self.variant, self.lam, self.n, self.p, self.cells, self.skipped)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "MultiTestReport(" + ", ".join(
+            f"{k.lstrip('_')}={v!r}" for k, v in zip(self.__slots__, self._fields())) + ")"
+
+    def __reduce__(self):
+        return (MultiTestReport, self._fields())
 
     def to_dict(self) -> dict:
         return {
@@ -149,66 +182,95 @@ def _scan(variant, X, lam, noise, stat, rate, mode="report"):
     ``(statistic, converged)``. A cell triggers when its statistic exceeds
     ``lam * noise[s] * rate(p, n, s, t)``.
 
+    Both modes solve the s = 1 cells first and cap every other cell by
+    ``min(operator_norm(diff), s * max|diff|)``, which bounds the exact and
+    the relaxed statistic alike, plus a margin
+    ``1e-9 * max(1, s * max|diff|)`` that exceeds any rounding by which a
+    statistic can pass its cap.
+
+    ``mode="report"`` decides ``reject`` now: it stops at the first s = 1
+    cell that triggers and otherwise solves the cells whose cap exceeds
+    their threshold, in descending order of cap / threshold, until one
+    triggers. The returned report builds its cells on first read, reusing
+    the window differences and every statistic solved here and solving
+    each remaining cell once, in scan order.
+
     ``mode="max"`` returns only ``max(stat / threshold)`` over the cells,
-    which is all calibration of the SDP family keeps. The s = 1 cells are
-    solved first; every
-    other cell is capped by ``min(operator_norm(diff), s * max|diff|)``,
-    which bounds the exact and the relaxed statistic alike. Those cells are
-    solved in descending order of ``(cap + margin) / threshold``, stopping
-    at the first below the running maximum. The margin,
-    ``1e-9 * max(1, s * max|diff|)``, exceeds any rounding by which a
-    statistic can pass its cap, so no skipped cell could raise the maximum.
+    which is all calibration of the SDP family keeps. It solves the other
+    cells in descending order of cap / threshold, stopping at the first
+    below the running maximum, so no unsolved cell could raise it.
     """
     n, p = X.shape
     scan = CovarianceScan(X)
-    cells = []
+    cells = []  # (t, s, noise scale, threshold, diff), in scan order
     skipped = []
-    capped = []
     for t in scan.grid:
         diff = scan.difference(t)
-        op = None
+        if not np.isfinite(diff).all():
+            sym_matrix(diff)  # raises what solving any cell of this window would
         for s, scale in noise.items():
             if isinstance(scale, str):
                 skipped.append((t, s, scale))
-                continue
-            threshold = lam * scale * rate(p, n, s, t)
-            if mode == "max" and s > 1:
-                if op is None:
-                    op, amax = operator_norm(diff), float(np.abs(diff).max())
-                cap = min(op, s * amax) + 1e-9 * max(1.0, s * amax)
-                capped.append((cap / threshold, diff, s, threshold))
-                continue
-            value, converged = stat(diff, s)
-            cells.append(
-                MultiTestCell(
-                    t=t,
-                    s=s,
-                    stat=value,
-                    noise_scale=scale,
-                    threshold=threshold,
-                    triggered=value > threshold,
-                    converged=converged,
-                )
-            )
-    if not cells and not capped:
+            else:
+                cells.append((t, s, scale, lam * scale * rate(p, n, s, t), diff))
+    if not cells:
         raise UndecidableInputError(
             "every (t, s) cell was skipped; the sample is too short for any "
             "sparsity in the scan"
         )
+    solved = {}
+
+    def value(i):
+        if i not in solved:
+            solved[i] = stat(cells[i][4], cells[i][1])
+        return solved[i][0]
+
+    def ranked():
+        """``(cap / threshold, cap, i)`` for every cell with s >= 2, by
+        descending ratio; a zero threshold (zero noise scale) ranks first."""
+        norms, out = {}, []
+        for i, (t, s, _, threshold, diff) in enumerate(cells):
+            if s > 1:
+                if t not in norms:
+                    norms[t] = operator_norm(diff), float(np.abs(diff).max())
+                op, amax = norms[t]
+                cap = min(op, s * amax) + 1e-9 * max(1.0, s * amax)
+                out.append((cap / threshold if threshold else math.inf, cap, i))
+        return sorted(out, key=lambda c: c[0], reverse=True)
+
+    singles = [i for i, c in enumerate(cells) if c[1] == 1]
     if mode == "max":
-        best = max((c.stat / c.threshold for c in cells), default=-math.inf)
-        for bound, diff, s, threshold in sorted(capped, key=lambda c: c[0], reverse=True):
+        best = max((value(i) / cells[i][3] for i in singles), default=-math.inf)
+        for bound, _, i in ranked():
             if bound < best:
                 break
-            best = max(best, stat(diff, s)[0] / threshold)
+            best = max(best, value(i) / cells[i][3])
         return best
+
+    reject = any(value(i) > cells[i][3] for i in singles) or any(
+        value(i) > cells[i][3] for _, cap, i in ranked() if cap > cells[i][3])
+
+    def build():
+        return tuple(
+            MultiTestCell(
+                t=t,
+                s=s,
+                stat=value(i),
+                noise_scale=scale,
+                threshold=threshold,
+                triggered=value(i) > threshold,
+                converged=solved[i][1],
+            )
+            for i, (t, s, scale, threshold, _) in enumerate(cells)
+        )
+
     return MultiTestReport(
-        reject=any(c.triggered for c in cells),
+        reject=reject,
         variant=variant,
         lam=lam,
         n=n,
         p=p,
-        cells=tuple(cells),
+        cells=build,
         skipped=tuple(skipped),
     )
 
@@ -232,6 +294,8 @@ def covariance_test(
     s = _check_count(s, "s")
     if center:
         X = center_columns(X)
+    # The decision may solve no cell; raise now what solving them would.
+    _check_sparsity(X.shape[1], s, budget)
     return _scan("oracle", X, lam, {s: float(sigma_sq)}, _exact_stat(budget), scan_rate)
 
 

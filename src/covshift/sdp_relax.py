@@ -16,8 +16,7 @@ feasible ``Z``, the upper endpoint comes from a dual certificate ``Y`` via
     value <= lambda_max(+-A + Y) + s * max|Y_ij|,
 
 which holds for every symmetric ``Y``. The splitting multiplier supplies
-the certificate at convergence; a soft-thresholding line search over
-shrinkage levels of ``A`` is used as a fallback refinement.
+the certificate at each checkpoint.
 """
 
 from __future__ import annotations
@@ -212,21 +211,6 @@ def _one_sided(B, s, tol_abs, max_iter, stop_below=-np.inf):
         up = float(np.linalg.eigvalsh(B + Y)[-1]) + s * float(np.abs(Y).max())
         if up < best_upper:
             best_upper, best_Y = up, Y
-        converged = best_upper - best_lower <= tol_abs
-
-    if not converged and best_upper > stop_below:
-        # Fallback dual refinement: line search the soft-thresholding
-        # residual Y(mu) = -sign(B) * min(|B|, mu) over shrinkage levels.
-        b_inf = float(np.abs(B).max())
-        mus = np.linspace(0.0, b_inf, 41)[1:]
-        mus = np.unique(np.concatenate([mus, [rho * float(np.abs(U).max())]]))
-        absB = np.abs(B)
-        sgnB = np.sign(B)
-        for mu in mus:
-            Y = -sgnB * np.minimum(absB, mu)
-            up = float(np.linalg.eigvalsh(B + Y)[-1]) + s * mu
-            if up < best_upper:
-                best_upper, best_Y = up, Y
         converged = best_upper - best_lower <= tol_abs
 
     return best_lower, best_Z, best_upper, best_Y, it, converged

@@ -1,5 +1,6 @@
 """Covariance changepoint scans: oracle, adaptive, and SDP variants."""
 
+import json
 import math
 
 import numpy as np
@@ -8,14 +9,20 @@ import pytest
 from covshift import (
     EnumerationBudgetError,
     InvalidInputError,
+    NoiseWindowError,
     UndecidableInputError,
     adaptive_sdp_test,
     adaptive_test,
+    center_columns,
     covariance_test,
     dyadic_grid,
     entrywise_noise_level,
     minimax_rate,
     operator_norm,
+    relaxed_sparse_eigmax,
+    scan_rate,
+    scan_rate_relaxed,
+    sparse_abs_eigmax,
     sparse_noise_level,
     sparsity_grid,
     variance_test,
@@ -318,3 +325,140 @@ class TestMaxMode:
         # (256, 16) scans 8 windows at s = 2, 4, 8 and 16 beside s = 1
         assert sparsities.count(1) == reps * 8
         assert sum(s >= 2 for s in sparsities) < reps * 8 * 4 / 4
+
+
+def _eager_cells(family, s, X, lam, center):
+    """Reference: every cell solved at call time, in scan order, as
+    ``to_dict()`` lists them. ``family`` is "oracle" (sparsity ``s``, unit
+    noise level), "adaptive" or "adaptive_sdp"."""
+    X = center_columns(X) if center else np.array(X, dtype=float)
+    n, p = X.shape
+    if family == "adaptive_sdp":
+        noise = dict.fromkeys(sparsity_grid(p), entrywise_noise_level(X))
+        rate = scan_rate_relaxed
+
+        def stat(diff, s):
+            sol = relaxed_sparse_eigmax(diff, s)
+            return sol.lower, sol.converged
+    else:
+        rate = scan_rate
+
+        def stat(diff, s):
+            return sparse_abs_eigmax(diff, s).value, True
+
+        if family == "oracle":
+            noise = {s: 1.0}
+        else:
+            noise = {}
+            for k in sparsity_grid(p):
+                try:
+                    if minimax_rate(p, n, k) <= n:
+                        noise[k] = sparse_noise_level(X, k)
+                except NoiseWindowError:
+                    pass
+    scan = CovarianceScan(X)
+    cells = []
+    for t in scan.grid:
+        diff = scan.difference(t)
+        for k, scale in noise.items():
+            threshold = lam * scale * rate(p, n, k, t)
+            value, converged = stat(diff, k)
+            cells.append({"t": t, "s": k, "stat": value, "noise_scale": scale,
+                          "threshold": threshold, "triggered": value > threshold,
+                          "converged": converged})
+    return cells
+
+
+def _decide(family, s, X, lam, center):
+    if family == "oracle":
+        return covariance_test(X, lam, s, 1.0, center=center)
+    if family == "adaptive":
+        return adaptive_test(X, lam, center=center)
+    return adaptive_sdp_test(X, lam, center=center)
+
+
+# The oracle at s = 1, 2 and p (every panel of ``_panels()`` has p = 6).
+_DECISION_FAMILIES = [("oracle", 1), ("oracle", 2), ("oracle", 6), ("adaptive", None),
+                      ("adaptive_sdp", None)]
+
+
+class TestDecision:
+    """The tests decide ``reject`` from the cheapest cells and build the
+    cells on first read; both equal solving every cell at call time."""
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("family,s", _DECISION_FAMILIES)
+    def test_reject_and_cells_equal_eager(self, family, s, center):
+        for name, panel in _panels().items():
+            at_one = _eager_cells(family, s, panel, 1.0, center)
+            # One multiplier puts the largest cell exactly at its threshold.
+            edge = max(c["stat"] / c["threshold"] for c in at_one)
+            for lam in (0.5, 1.0, 2.0, 4.0, edge):
+                want = json.dumps(_eager_cells(family, s, panel, lam, center))
+                X = panel.copy()
+                reject_first = _decide(family, s, X, lam, center)
+                reject = reject_first.reject
+                cells_first = _decide(family, s, X, lam, center)
+                built = json.dumps(cells_first.to_dict()["cells"])
+                # reject_first builds its cells only after this.
+                X *= 3.0
+                X[0] = 99.0
+                assert built == want, (name, lam)
+                assert json.dumps(reject_first.to_dict()["cells"]) == want, (name, lam)
+                assert reject == any(c.triggered for c in reject_first.cells), (name, lam)
+                assert cells_first.reject == reject, (name, lam)
+                assert reject_first == cells_first
+
+    def test_budget_error_raises_from_the_call(self):
+        X = np.random.default_rng(75).standard_normal((64, 40))
+        with pytest.raises(EnumerationBudgetError) as eager:
+            sparse_abs_eigmax(CovarianceScan(X).difference(1), 20)
+        with pytest.raises(EnumerationBudgetError) as decided:
+            covariance_test(X, 1e6, 20, 1.0)
+        assert str(decided.value) == str(eager.value)
+
+    def test_sparsity_above_p_raises_from_the_call(self, rng):
+        X = rng.standard_normal((32, 3))
+        with pytest.raises(InvalidInputError, match=r"s must be in \[1, p\]=3, got 4"):
+            covariance_test(X, 1e6, 4, 1.0)
+
+    def test_all_skipped_raises_from_the_call(self):
+        X = np.random.default_rng(74).standard_normal((6, 8))
+        with pytest.raises(UndecidableInputError, match="every \\(t, s\\) cell was skipped"):
+            adaptive_test(X, 2.0)
+
+    def test_overflowing_window_raises_after_an_early_trigger(self):
+        # The t = 1 cell triggers; the t = 4 second moments overflow, which
+        # solving that window's cells would reject.
+        X = np.full((16, 2), 1e-3)
+        X[:4] = 9e153
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                sparse_abs_eigmax(CovarianceScan(X).difference(4), 1)
+            for test in (lambda: covariance_test(X, 1.0, 1, 1.0),
+                         lambda: adaptive_sdp_test(X, 1.0)):
+                with pytest.raises(InvalidInputError, match="non-finite"):
+                    test()
+
+    def test_decision_solves_few_cells_and_build_solves_each_once(self, monkeypatch):
+        relax = multivariate.relaxed_sparse_eigmax
+        solves = []
+
+        def counting(A, s, **kwargs):
+            solves.append((id(A), s))
+            return relax(A, s, **kwargs)
+
+        monkeypatch.setattr(multivariate, "relaxed_sparse_eigmax", counting)
+        # C6's lambda: calibrate_lambda("adaptive_sdp", 256, p=16, delta=0.1,
+        # reps=2000, seed=1601)
+        lam = 1.9049242341442176
+        reps = 10
+        reports = [adaptive_sdp_test(null_series(256, 16, 1.0, [1602, r, 1]), lam)
+                   for r in range(reps)]
+        decided = [r.reject for r in reports]
+        # (256, 16) scans 8 windows at s = 2, 4, 8 and 16 beside s = 1
+        assert sum(s >= 2 for _, s in solves) < reps * 8 * 4 / 10
+        for report in reports:
+            report.cells
+        assert len(set(solves)) == len(solves) == reps * 8 * 5
+        assert decided == [any(c.triggered for c in r.cells) for r in reports]
