@@ -41,7 +41,7 @@ from .exceptions import (
     UndecidableInputError,
 )
 from .sdp_relax import relaxed_sparse_eigmax
-from .sparse_eig import DEFAULT_BUDGET, _check_sparsity, sparse_abs_eigmax
+from .sparse_eig import DEFAULT_BUDGET, sparse_abs_eigmax
 
 __all__ = [
     "MultiTestCell",
@@ -71,11 +71,12 @@ class MultiTestReport:
     ``reject`` is the OR of ``triggered`` over cells; ``skipped`` holds
     ``(t, s, reason)`` entries for cells that could not be evaluated.
 
-    The tests decide ``reject`` when they are called, solving only the
-    cells that the decision needs. ``cells`` is built when it is first read
-    (``cells``, ``to_dict()``, ``==``, ``repr``) from copies made at call
-    time, and holds the values that solving every cell at call time would
-    give. A report is read-only.
+    ``adaptive_sdp_test`` decides ``reject`` when it is called, solving
+    only the cells that the decision needs; its ``cells`` are built when
+    first read (``cells``, ``to_dict()``, ``==``, ``repr``) from copies made
+    at call time, and hold the values that solving every cell at call time
+    would give. The exact tests solve every cell at call time. A report is
+    read-only.
     """
 
     __slots__ = ("reject", "variant", "lam", "n", "p", "_cells", "skipped")
@@ -182,18 +183,22 @@ def _scan(variant, X, lam, noise, stat, rate, mode="report"):
     ``(statistic, converged)``. A cell triggers when its statistic exceeds
     ``lam * noise[s] * rate(p, n, s, t)``.
 
-    Both modes solve the s = 1 cells first and cap every other cell by
-    ``min(operator_norm(diff), s * max|diff|)``, which bounds the exact and
-    the relaxed statistic alike, plus a margin
+    ``mode="report"`` solves every cell now, in scan order, and returns
+    the report with its cells built. The exact family scans this way.
+
+    The other two modes solve the s = 1 cells first and cap every other
+    cell by ``min(operator_norm(diff), s * max|diff|)``, which bounds the
+    exact and the relaxed statistic alike, plus a margin
     ``1e-9 * max(1, s * max|diff|)`` that exceeds any rounding by which a
     statistic can pass its cap.
 
-    ``mode="report"`` decides ``reject`` now: it stops at the first s = 1
+    ``mode="decide"`` decides ``reject`` now: it stops at the first s = 1
     cell that triggers and otherwise solves the cells whose cap exceeds
     their threshold, in descending order of cap / threshold, until one
     triggers. The returned report builds its cells on first read, reusing
     the window differences and every statistic solved here and solving
-    each remaining cell once, in scan order.
+    each remaining cell once, in scan order. ``adaptive_sdp_test`` scans
+    this way.
 
     ``mode="max"`` returns only ``max(stat / threshold)`` over the cells,
     which is all calibration of the SDP family keeps. It solves the other
@@ -247,9 +252,6 @@ def _scan(variant, X, lam, noise, stat, rate, mode="report"):
             best = max(best, value(i) / cells[i][3])
         return best
 
-    reject = any(value(i) > cells[i][3] for i in singles) or any(
-        value(i) > cells[i][3] for _, cap, i in ranked() if cap > cells[i][3])
-
     def build():
         return tuple(
             MultiTestCell(
@@ -264,13 +266,20 @@ def _scan(variant, X, lam, noise, stat, rate, mode="report"):
             for i, (t, s, scale, threshold, _) in enumerate(cells)
         )
 
+    if mode == "report":
+        built = build()
+        reject = any(c.triggered for c in built)
+    else:
+        built = build
+        reject = any(value(i) > cells[i][3] for i in singles) or any(
+            value(i) > cells[i][3] for _, cap, i in ranked() if cap > cells[i][3])
     return MultiTestReport(
         reject=reject,
         variant=variant,
         lam=lam,
         n=n,
         p=p,
-        cells=build,
+        cells=built,
         skipped=tuple(skipped),
     )
 
@@ -294,8 +303,6 @@ def covariance_test(
     s = _check_count(s, "s")
     if center:
         X = center_columns(X)
-    # The decision may solve no cell; raise now what solving them would.
-    _check_sparsity(X.shape[1], s, budget)
     return _scan("oracle", X, lam, {s: float(sigma_sq)}, _exact_stat(budget), scan_rate)
 
 
@@ -333,10 +340,10 @@ def adaptive_sdp_test(X, lam, tol: float = 1e-3, center: bool = False) -> MultiT
     relaxation solver did not certify its gap are still evaluated and
     flagged via ``converged=False``.
     """
-    return _sdp_scan(X, lam, tol, center)
+    return _sdp_scan(X, lam, tol, center, "decide")
 
 
-def _sdp_scan(X, lam, tol, center, mode="report"):
+def _sdp_scan(X, lam, tol, center, mode):
     X = as_series(X)
     lam = _check_lam(lam)
     if center:

@@ -49,21 +49,6 @@ def _abs_extreme(A, idx):
     return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
 
-def _check_sparsity(p, s, budget):
-    """``s`` as an int, once it passes the checks that ``sparse_abs_eigmax``
-    makes in dimension ``p`` before any work."""
-    s = _check_count(s, "s", minimum=1)
-    if s > p:
-        raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
-    if math.comb(p, s) > budget:
-        raise EnumerationBudgetError(
-            f"{math.comb(p, s)} supports exceed the enumeration budget ({budget}); "
-            "use the SDP relaxation (covshift.sdp_relax.relaxed_sparse_eigmax) "
-            "for this size"
-        )
-    return s
-
-
 def sparse_abs_eigmax(A, s, budget: int = DEFAULT_BUDGET) -> SparseEigResult:
     """Maximize ``|v' A v|`` over unit vectors with at most ``s`` nonzeros.
 
@@ -78,7 +63,15 @@ def sparse_abs_eigmax(A, s, budget: int = DEFAULT_BUDGET) -> SparseEigResult:
     """
     A = sym_matrix(A)
     p = A.shape[0]
-    s = _check_sparsity(p, s, budget)
+    s = _check_count(s, "s", minimum=1)
+    if s > p:
+        raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
+    if math.comb(p, s) > budget:
+        raise EnumerationBudgetError(
+            f"{math.comb(p, s)} supports exceed the enumeration budget ({budget}); "
+            "use the SDP relaxation (covshift.sdp_relax.relaxed_sparse_eigmax) "
+            "for this size"
+        )
 
     if s == 1:
         k = int(np.argmax(np.abs(np.diag(A))))

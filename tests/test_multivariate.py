@@ -383,8 +383,9 @@ _DECISION_FAMILIES = [("oracle", 1), ("oracle", 2), ("oracle", 6), ("adaptive", 
 
 
 class TestDecision:
-    """The tests decide ``reject`` from the cheapest cells and build the
-    cells on first read; both equal solving every cell at call time."""
+    """``adaptive_sdp_test`` decides ``reject`` from the cheapest cells and
+    builds the cells on first read, and the exact tests solve every cell at
+    call time; every family equals solving every cell at call time."""
 
     @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("family,s", _DECISION_FAMILIES)
