@@ -26,7 +26,6 @@ __all__ = [
     "CovarianceScan",
     "signal_strength_uni",
     "signal_strength_multi",
-    "detectability_ratio_floor",
     "operator_norm",
 ]
 
@@ -39,6 +38,19 @@ def _check_count(value, name, minimum=1):
     if value < minimum:
         raise InvalidInputError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def _check_sparsity(s, p):
+    s = _check_count(s, "s")
+    if s > p:
+        raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
+    return s
+
+
+def _check_lam(lam):
+    if not (lam > 0) or math.isnan(lam):
+        raise InvalidInputError(f"lambda must be positive, got {lam}")
+    return float(lam)
 
 
 def as_series(values) -> np.ndarray:
@@ -124,9 +136,7 @@ def minimax_rate(p, n, s) -> float:
     below the univariate ``log log(8n)`` floor.
     """
     p = _check_count(p, "p", minimum=1)
-    s = _check_count(s, "s", minimum=1)
-    if s > p:
-        raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
+    s = _check_sparsity(s, p)
     return max(s * math.log(math.e * p / s), loglog8n(n))
 
 
@@ -146,9 +156,7 @@ def scan_rate_relaxed(p, n, s, t) -> float:
     of the polynomial-time statistic.
     """
     p = _check_count(p, "p", minimum=1)
-    s = _check_count(s, "s", minimum=1)
-    if s > p:
-        raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
+    s = _check_sparsity(s, p)
     t = _check_count(t, "t", minimum=1)
     ell = max(math.log(math.e * p), loglog8n(n))
     return s * max(math.sqrt(ell / t), ell / t)
@@ -251,23 +259,3 @@ def signal_strength_multi(t0, n, Sigma1, Sigma2) -> float:
         )
     r = diff / (sigma_sq - diff)
     return min(t0, n - t0) * min(r, r * r)
-
-
-def detectability_ratio_floor(p, n, s, t0, c) -> float:
-    """Necessary sparse variance-ratio floor ``1 + max(c*g/d, sqrt(c*g/d))``
-    with ``g = minimax_rate(p, n, s)`` and ``d = min(t0, n - t0)``.
-
-    Below this floor on the maximal s-sparse variance ratio, no test can
-    detect the change at signal strength ``c * g``.
-    """
-    n = _check_count(n, "n", minimum=2)
-    t0 = _check_count(t0, "t0", minimum=1)
-    if t0 > n - 1:
-        raise InvalidInputError(f"t0 must be in [1, n-1]=[1, {n - 1}], got {t0}")
-    if not (c > 0):
-        raise InvalidInputError(f"c must be positive, got {c}")
-    g = minimax_rate(p, n, s)
-    delta = min(t0, n - t0)
-    x = c * g / delta
-    return 1.0 + max(x, math.sqrt(x))
-

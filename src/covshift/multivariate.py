@@ -26,6 +26,7 @@ import numpy as np
 from .core import (
     CovarianceScan,
     _check_count,
+    _check_lam,
     as_series,
     center_columns,
     scan_rate,
@@ -124,12 +125,6 @@ class MultiTestReport:
             "cells": [asdict(c) for c in self.cells],
             "skipped": [{"t": t, "s": s, "reason": r} for t, s, r in self.skipped],
         }
-
-
-def _check_lam(lam):
-    if not (lam > 0) or math.isnan(lam):
-        raise InvalidInputError(f"lambda must be positive, got {lam}")
-    return float(lam)
 
 
 def sparse_noise_level(X, s, budget: int = DEFAULT_BUDGET) -> float:

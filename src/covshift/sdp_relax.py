@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_count, sym_matrix
+from .core import _check_count, _check_sparsity, sym_matrix
 from .exceptions import InvalidInputError
 
 __all__ = ["RelaxSolution", "relaxed_sparse_eigmax", "dual_upper_bound"]
@@ -235,9 +235,7 @@ def relaxed_sparse_eigmax(A, s, tol: float = 1e-3, max_iter: int = 5000) -> Rela
     """
     A = sym_matrix(A)
     p = A.shape[0]
-    s = _check_count(s, "s", minimum=1)
-    if s > p:
-        raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
+    s = _check_sparsity(s, p)
     if not (tol > 0) or not math.isfinite(tol):
         raise InvalidInputError(f"tol must be a positive finite real, got {tol}")
     max_iter = _check_count(max_iter, "max_iter", minimum=1)

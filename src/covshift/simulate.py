@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _check_count, dyadic_grid, loglog8n, minimax_rate
+from .core import _check_count, _check_sparsity, dyadic_grid, loglog8n, minimax_rate
 from .exceptions import CovshiftError, InvalidInputError, SignalDomainError
 from .multivariate import _sdp_scan, adaptive_sdp_test, adaptive_test, covariance_test
 from .sparse_eig import DEFAULT_BUDGET
@@ -32,7 +32,6 @@ __all__ = [
     "chisq_cross_term",
     "mixture_chisq_uni",
     "mixture_chisq_uni_proof_bound",
-    "mixture_chisq_multi",
     "mixture_chisq_multi_exact",
     "minimax_lower_bound",
     "monte_carlo_errors",
@@ -107,8 +106,7 @@ class PriorSpec:
         _check_count(self.p, "p")
         if self.kind == "uni" and self.p != 1:
             raise InvalidInputError("kind='uni' requires p=1")
-        if _check_count(self.s, "s") > self.p:
-            raise InvalidInputError(f"s must be in [1, p]={self.p}, got {self.s}")
+        _check_sparsity(self.s, self.p)
         if not (self.sigma_sq > 0):
             raise InvalidInputError(f"sigma_sq must be positive, got {self.sigma_sq}")
         if not (self.rho > 0):
@@ -225,6 +223,15 @@ class ChisqCrossTerm:
     bound: float
 
 
+def _log_cross_term(d1, a1, a2, inner):
+    """Logarithm of the cross moment
+    ``{(1+a1)(1+a2) / (1 + a1 + a2 + a1*a2*(1 - inner^2))} ** (d1/2)``,
+    elementwise over broadcast arrays; symmetric in ``(a1, a2)``."""
+    num = (1.0 + a1) * (1.0 + a2)
+    den = 1.0 + a1 + a2 + a1 * a2 * (1.0 - inner * inner)
+    return 0.5 * d1 * np.log(num / den)
+
+
 def chisq_cross_term(delta1, delta2, kappa1, kappa2, sigma_sq, inner) -> ChisqCrossTerm:
     """Cross-moment of two alternative likelihood ratios under the null.
 
@@ -256,11 +263,8 @@ def chisq_cross_term(delta1, delta2, kappa1, kappa2, sigma_sq, inner) -> ChisqCr
         raise InvalidInputError(f"inner must lie in [-1, 1], got {inner}")
     a1 = kappa1 / (sigma_sq - kappa1)
     a2 = kappa2 / (sigma_sq - kappa2)
-    num = (1.0 + a1) * (1.0 + a2)
-    den = 1.0 + a1 + a2 + a1 * a2 * (1.0 - inner * inner)
-    log_value = 0.5 * delta1 * math.log(num / den)
     try:
-        value = math.exp(log_value)
+        value = math.exp(float(_log_cross_term(delta1, a1, a2, inner)))
     except OverflowError:
         value = math.inf
     exponent = 0.5 * inner * inner * min(
@@ -280,33 +284,32 @@ def chisq_cross_term(delta1, delta2, kappa1, kappa2, sigma_sq, inner) -> ChisqCr
     return ChisqCrossTerm(value=value, bound=bound)
 
 
-def _grid_pairs(n, sigma_sq, rho):
-    deltas = dyadic_grid(n)
-    kappas = {d: variance_shrinkage(d, rho, sigma_sq) for d in deltas}
-    pairs = []
-    for di in deltas:
-        for dj in deltas:
-            d1, d2 = (di, dj) if di <= dj else (dj, di)
-            pairs.append((d1, d2, kappas[d1], kappas[d2]))
-    return pairs
+def _mixture_chisq(n, sigma_sq, rho, inner, weights) -> float:
+    """Chi-square divergence between the null and the mixture alternative
+    over the equiprobable gap grid, where the two directions' inner product
+    takes the value ``inner[m]`` with probability ``weights[m]``:
+    ``weights @ mean_ij(cross term at gaps i, j) - 1``, the pair's shorter
+    gap setting the exponent."""
+    grid = dyadic_grid(n)
+    kappa = np.array([variance_shrinkage(d, rho, sigma_sq) for d in grid])
+    a = kappa / (sigma_sq - kappa)
+    inner = np.asarray(inner, dtype=float)[:, None, None]
+    with np.errstate(over="ignore"):
+        terms = np.exp(_log_cross_term(np.minimum.outer(grid, grid), a[:, None], a, inner))
+    return float(np.asarray(weights) @ terms.mean(axis=(1, 2))) - 1.0
 
 
 def mixture_chisq_uni(n, sigma_sq, rho) -> float:
     """Exact chi-square divergence between the univariate mixture
     alternative and the null, via the closed-form double sum over the
     equiprobable gap grid (directions are fully aligned: inner = 1)."""
-    pairs = _grid_pairs(n, sigma_sq, rho)
-    total = 0.0
-    for d1, d2, k1, k2 in pairs:
-        total += chisq_cross_term(d1, d2, k1, k2, sigma_sq, 1.0).value
-    return total / len(pairs) - 1.0
+    return _mixture_chisq(n, sigma_sq, rho, [1.0], [1.0])
 
 
 def mixture_chisq_uni_proof_bound(n, sigma_sq, rho) -> float:
     """Upper bound on the univariate mixture chi-square using the split
     exponential envelope instead of the exact cross terms; always at least
-    ``mixture_chisq_uni``. Reported alongside the exact value where the
-    two differ materially."""
+    ``mixture_chisq_uni``, which it exists to check."""
     deltas = dyadic_grid(n)
     total = 0.0
     for di in deltas:
@@ -320,60 +323,28 @@ def mixture_chisq_uni_proof_bound(n, sigma_sq, rho) -> float:
     return total / len(deltas) ** 2 - 1.0
 
 
-def _pair_mean_for_inner(pairs, sigma_sq, inner):
-    """Mean cross-term value over grid pairs at a common inner product.
-    Vectorized over an array of inner values."""
-    inner = np.asarray(inner, dtype=float)
-    acc = np.zeros_like(inner)
-    for d1, d2, k1, k2 in pairs:
-        a1 = k1 / (sigma_sq - k1)
-        a2 = k2 / (sigma_sq - k2)
-        num = (1.0 + a1) * (1.0 + a2)
-        den = 1.0 + a1 + a2 + a1 * a2 * (1.0 - inner * inner)
-        acc += np.exp(0.5 * d1 * np.log(num / den))
-    return acc / len(pairs)
-
-
-def mixture_chisq_multi(p, n, s, sigma_sq, rho, mc_reps, seed) -> tuple[float, float]:
-    """Chi-square divergence for the multivariate mixture alternative.
-
-    Exact in the gap pairs; Monte Carlo only in the overlap of the two
-    sparse directions, whose scaled inner product is distributed as a
-    ``+-1`` walk stopped at an independent Hypergeometric(p, s, s) step
-    count. Returns ``(estimate, standard_error)``.
-    """
-    if not (1 <= s <= _check_count(p, "p")):
-        raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
-    s, mc_reps = _check_count(s, "s"), _check_count(mc_reps, "mc_reps")
-    pairs = _grid_pairs(n, sigma_sq, rho)
-    rng = _rng(seed)
-    h = rng.hypergeometric(ngood=s, nbad=p - s, nsample=s, size=mc_reps)
-    g = 2.0 * rng.binomial(h, 0.5) - h
-    inner = g / s
-    values = _pair_mean_for_inner(pairs, sigma_sq, inner)
-    est = float(values.mean()) - 1.0
-    se = float(values.std(ddof=1) / math.sqrt(mc_reps)) if mc_reps > 1 else math.inf
-    return est, se
-
-
 def mixture_chisq_multi_exact(p, n, s, sigma_sq, rho) -> float:
-    """Exact multivariate mixture chi-square by enumerating the overlap law
-    (hypergeometric support overlap, binomial sign walk). Practical for
-    small ``s``."""
-    if _check_count(s, "s") > _check_count(p, "p"):
-        raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
-    pairs = _grid_pairs(n, sigma_sq, rho)
+    """Exact chi-square divergence for the multivariate mixture alternative.
+
+    The two sparse directions overlap in ``h ~ Hypergeometric(p, s, s)``
+    coordinates and agree in sign on ``k ~ Binomial(h, 1/2)`` of them, so
+    their inner product is ``g/s`` with ``g = 2k - h``. The cross term
+    depends on ``g`` only through ``|g|``; its exact law on ``{0, ..., s}``
+    weights one closed-form evaluation over the gap grid. At ``p = s = 1``
+    this is ``mixture_chisq_uni``.
+    """
+    p = _check_count(p, "p")
+    s = _check_sparsity(s, p)
     total_supports = math.comb(p, s)
-    value = 0.0
+    weights = np.zeros(s + 1)
     for h in range(s + 1):
         p_h = math.comb(s, h) * math.comb(p - s, s - h) / total_supports
         if p_h == 0.0:
             continue
         for k in range(h + 1):
-            p_g = math.comb(h, k) / 2.0 ** h
-            inner = (2.0 * k - h) / s
-            value += p_h * p_g * float(_pair_mean_for_inner(pairs, sigma_sq, inner))
-    return value - 1.0
+            weights[abs(2 * k - h)] += p_h * (math.comb(h, k) / 2.0 ** h)
+    keep = weights > 0.0
+    return _mixture_chisq(n, sigma_sq, rho, np.arange(s + 1)[keep] / s, weights[keep])
 
 
 def minimax_lower_bound(alpha) -> float:

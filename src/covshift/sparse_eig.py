@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # operator_norm is the s = p case; it stays reachable from this module.
-from .core import _check_count, operator_norm, sym_matrix  # noqa: F401
-from .exceptions import EnumerationBudgetError, InvalidInputError
+from .core import _check_sparsity, operator_norm, sym_matrix  # noqa: F401
+from .exceptions import EnumerationBudgetError
 
 __all__ = ["SparseEigResult", "sparse_abs_eigmax", "DEFAULT_BUDGET"]
 
@@ -63,9 +63,7 @@ def sparse_abs_eigmax(A, s, budget: int = DEFAULT_BUDGET) -> SparseEigResult:
     """
     A = sym_matrix(A)
     p = A.shape[0]
-    s = _check_count(s, "s", minimum=1)
-    if s > p:
-        raise InvalidInputError(f"s must be in [1, p]={p}, got {s}")
+    s = _check_sparsity(s, p)
     if math.comb(p, s) > budget:
         raise EnumerationBudgetError(
             f"{math.comb(p, s)} supports exceed the enumeration budget ({budget}); "

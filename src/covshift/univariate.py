@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import as_series, center_columns, dyadic_grid, loglog8n
+from .core import _check_lam, as_series, center_columns, dyadic_grid, loglog8n
 from .exceptions import InvalidInputError
 
 __all__ = [
@@ -85,8 +85,7 @@ def variance_test(x, lam, center: bool = False) -> UniTestReport:
         mean-zero data).
     """
     x = _as_univariate(x)
-    if not (lam > 0) or math.isnan(lam):
-        raise InvalidInputError(f"lambda must be positive, got {lam}")
+    lam = _check_lam(lam)
     if center:
         x = center_columns(x)[:, 0]
     n = x.size
@@ -113,7 +112,7 @@ def variance_test(x, lam, center: bool = False) -> UniTestReport:
         cells.append(UniTestCell(t=t, stat=stat, threshold=threshold, triggered=stat > threshold))
     return UniTestReport(
         reject=any(c.triggered for c in cells),
-        lam=float(lam),
+        lam=lam,
         n=n,
         cells=tuple(cells),
         skipped=tuple(skipped),

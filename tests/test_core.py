@@ -9,7 +9,6 @@ from covshift import (
     CovarianceScan,
     InvalidInputError,
     SignalDomainError,
-    detectability_ratio_floor,
     dyadic_grid,
     loglog8n,
     scan_rate,
@@ -269,18 +268,6 @@ class TestSignalStrength:
             a = signal_strength_multi(3, 10, S1, S2)
             b = signal_strength_multi(3, 10, c * S1, c * S2)
             assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
-
-
-class TestDetectabilityFloor:
-    def test_hand_values(self):
-        # p=s=4, n=16 gives g=4; t0=4 gives effective sample size 4
-        assert detectability_ratio_floor(4, 16, 4, 4, 1.0) == pytest.approx(2.0)
-        assert detectability_ratio_floor(4, 16, 4, 4, 4.0) == pytest.approx(5.0)
-        assert detectability_ratio_floor(4, 16, 4, 4, 0.25) == pytest.approx(1.5)
-        with pytest.raises(InvalidInputError):
-            detectability_ratio_floor(4, 16, 4, 4, 0.0)
-        with pytest.raises(InvalidInputError):
-            detectability_ratio_floor(4, 16, 4, 16, 1.0)
 
 
 class TestSymMatrix:

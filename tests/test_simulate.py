@@ -24,7 +24,6 @@ from covshift.simulate import (
     calibrate_lambda,
     chisq_cross_term,
     detection_boundary_uni,
-    mixture_chisq_multi,
     mixture_chisq_multi_exact,
     mixture_chisq_uni,
     mixture_chisq_uni_proof_bound,
@@ -257,6 +256,72 @@ class TestChisqCrossTerm:
             chisq_cross_term(1, 2, 0.1, 0.1, 1.0, 1.5)
 
 
+def reference_pairs(n, sigma_sq, rho):
+    """Every ordered pair of grid gaps, sorted within the pair, with its
+    shrinkages."""
+    deltas = dyadic_grid(n)
+    kappas = {d: variance_shrinkage(d, rho, sigma_sq) for d in deltas}
+    return [(min(di, dj), max(di, dj), kappas[min(di, dj)], kappas[max(di, dj)])
+            for di in deltas for dj in deltas]
+
+
+def reference_uni(n, sigma_sq, rho):
+    """The univariate mixture chi-square as a loop of scalar cross terms."""
+    pairs = reference_pairs(n, sigma_sq, rho)
+    total = 0.0
+    for d1, d2, k1, k2 in pairs:
+        total += chisq_cross_term(d1, d2, k1, k2, sigma_sq, 1.0).value
+    return total / len(pairs) - 1.0
+
+
+def reference_pair_mean(n, sigma_sq, rho, inner):
+    """Mean cross term over grid pairs, vectorized over an array of inner
+    products, with the closed form written out pair by pair."""
+    inner = np.asarray(inner, dtype=float)
+    pairs = reference_pairs(n, sigma_sq, rho)
+    acc = np.zeros_like(inner)
+    for d1, d2, k1, k2 in pairs:
+        a1 = k1 / (sigma_sq - k1)
+        a2 = k2 / (sigma_sq - k2)
+        num = (1.0 + a1) * (1.0 + a2)
+        den = 1.0 + a1 + a2 + a1 * a2 * (1.0 - inner * inner)
+        acc += np.exp(0.5 * d1 * np.log(num / den))
+    return acc / len(pairs)
+
+
+def reference_multi_exact(p, n, s, sigma_sq, rho):
+    """The multivariate mixture chi-square, one pair mean per overlap
+    ``h`` and sign agreement count ``k``."""
+    value = 0.0
+    for h in range(s + 1):
+        p_h = math.comb(s, h) * math.comb(p - s, s - h) / math.comb(p, s)
+        if p_h == 0.0:
+            continue
+        for k in range(h + 1):
+            p_g = math.comb(h, k) / 2.0 ** h
+            inner = (2.0 * k - h) / s
+            value += p_h * p_g * float(reference_pair_mean(n, sigma_sq, rho, inner))
+    return value - 1.0
+
+
+def sampled_multi_chisq(p, n, s, sigma_sq, rho, reps, seed):
+    """Monte Carlo over the overlap of the two sparse directions: a +-1
+    walk stopped at a Hypergeometric(p, s, s) step count. Returns
+    ``(estimate, standard_error)``."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
+    h = rng.hypergeometric(ngood=s, nbad=p - s, nsample=s, size=reps)
+    g = 2.0 * rng.binomial(h, 0.5) - h
+    values = reference_pair_mean(n, sigma_sq, rho, g / s)
+    return float(values.mean()) - 1.0, float(values.std(ddof=1) / math.sqrt(reps))
+
+
+def assert_close(value, reference):
+    if abs(reference) < 1e-3:
+        assert value == pytest.approx(reference, rel=0, abs=1e-14)
+    else:
+        assert value == pytest.approx(reference, rel=1e-12)
+
+
 class TestMixtureChisq:
     def test_single_pair_hand_formula(self):
         # n=2 has a single grid gap (delta=1), so chi^2 + 1 is one cross
@@ -295,16 +360,34 @@ class TestMixtureChisq:
             assert chi2 <= 1.0
 
     def test_multi_degenerates_to_uni_at_s_equal_p_one(self):
-        # p = s = 1 forces |inner| = 1, so the Monte Carlo is exact
-        est, se = mixture_chisq_multi(1, 64, 1, 1.0, 2.0, mc_reps=50, seed=0)
-        assert est == pytest.approx(mixture_chisq_uni(64, 1.0, 2.0), rel=1e-12)
-        assert se == pytest.approx(0.0, abs=1e-12)
+        # p = s = 1 forces |inner| = 1, the univariate alignment
+        for n, sigma_sq, rho in ((2, 1.0, 0.5), (64, 1.0, 2.0), (1024, 7.0, 6.0)):
+            assert mixture_chisq_multi_exact(1, n, 1, sigma_sq, rho) == (
+                mixture_chisq_uni(n, sigma_sq, rho)
+            )
 
     def test_multi_monte_carlo_matches_exact_enumeration(self):
         for (p, s) in ((4, 2), (10, 3), (6, 1)):
             exact = mixture_chisq_multi_exact(p, 128, s, 1.0, 4.0)
-            est, se = mixture_chisq_multi(p, 128, s, 1.0, 4.0, mc_reps=40_000, seed=3)
+            est, se = sampled_multi_chisq(p, 128, s, 1.0, 4.0, reps=40_000, seed=3)
             assert abs(est - exact) <= 3.0 * max(se, 1e-12)
+
+    def test_matches_pinned_references(self):
+        for n in (2, 3, 64, 1024, 2**20):
+            for rho in (1e-10, 0.5, 6.0):
+                for sigma_sq in (0.3, 1.0, 7.0):
+                    assert_close(mixture_chisq_uni(n, sigma_sq, rho),
+                                 reference_uni(n, sigma_sq, rho))
+                    for p, s in ((1, 1), (4, 2), (10, 3), (16, 8)):
+                        assert_close(mixture_chisq_multi_exact(p, n, s, sigma_sq, rho),
+                                     reference_multi_exact(p, n, s, sigma_sq, rho))
+
+    def test_overflow_gives_inf(self):
+        # at p = s the overlap law skips every other |g|; those impossible
+        # inner products also overflow and must not turn inf into nan
+        for p in (1, 2, 3):
+            assert mixture_chisq_multi_exact(p, 2**20, min(p, 2), 1.0, 1e4) == math.inf
+        assert mixture_chisq_uni(2**20, 1.0, 1e4) == math.inf
 
     def test_sparse_overlap_shrinks_divergence(self):
         # with p >> s^2 the two supports rarely overlap, inner ~ 0, and the
@@ -316,18 +399,12 @@ class TestMixtureChisq:
     def test_exact_rejects_fractional_sparsity(self):
         with pytest.raises(InvalidInputError, match="s must be an integer"):
             mixture_chisq_multi_exact(4, 64, 2.0, 1.0, 2.0)
-
-    def test_monte_carlo_rejects_fractional_counts(self):
-        with pytest.raises(InvalidInputError, match="s must be an integer"):
-            mixture_chisq_multi(4, 64, 2.5, 1.0, 2.0, mc_reps=1000, seed=0)
         with pytest.raises(InvalidInputError, match="p must be an integer"):
-            mixture_chisq_multi(4.0, 64, 2, 1.0, 2.0, mc_reps=1000, seed=0)
-        with pytest.raises(InvalidInputError, match="mc_reps must be an integer"):
-            mixture_chisq_multi(4, 64, 2, 1.0, 2.0, mc_reps=10.5, seed=0)
-        with pytest.raises(InvalidInputError, match=r"^mc_reps must be >= 1, got 0$"):
-            mixture_chisq_multi(4, 64, 2, 1.0, 2.0, mc_reps=0, seed=0)
-        with pytest.raises(InvalidInputError, match=r"^s must be in \[1, p\]=4, got 0$"):
-            mixture_chisq_multi(4, 64, 0, 1.0, 2.0, mc_reps=10, seed=0)
+            mixture_chisq_multi_exact(4.0, 64, 2, 1.0, 2.0)
+        with pytest.raises(InvalidInputError, match=r"^s must be >= 1, got 0$"):
+            mixture_chisq_multi_exact(4, 64, 0, 1.0, 2.0)
+        with pytest.raises(InvalidInputError, match=r"^s must be in \[1, p\]=4, got 5$"):
+            mixture_chisq_multi_exact(4, 64, 5, 1.0, 2.0)
 
 
 class TestMinimaxLowerBound:
