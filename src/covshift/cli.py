@@ -93,7 +93,6 @@ def write_report(payload: dict, path: str | None):
 def read_csv_series(path: str) -> np.ndarray:
     """Parse a CSV data panel; raises ConfigError with line/column info."""
     rows = []
-    header_skipped = False
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         width = None
@@ -112,8 +111,7 @@ def read_csv_series(path: str) -> np.ndarray:
                     bad_col = col
                     break
             if bad_col is not None:
-                if lineno == 1 and not header_skipped:
-                    header_skipped = True
+                if lineno == 1:
                     continue
                 raise ConfigError(
                     f"non-numeric value at line {lineno}, column {bad_col}"

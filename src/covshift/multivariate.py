@@ -18,6 +18,7 @@ statistic or in the skipped list with a reason.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -71,20 +72,17 @@ class MultiTestReport:
 
     ``reject`` is the OR of ``triggered`` over cells; ``skipped`` holds
     ``(t, s, reason)`` entries for cells that could not be evaluated.
-
-    ``adaptive_sdp_test`` decides ``reject`` when it is called, solving
-    only the cells that the decision needs; its ``cells`` are built when
-    first read (``cells``, ``to_dict()``, ``==``, ``repr``) from copies made
-    at call time, and hold the values that solving every cell at call time
-    would give. The exact tests solve every cell at call time. A report is
-    read-only.
+    ``cells`` may be built when first read (``cells``, ``to_dict()``,
+    ``==``, ``repr``), with the values that solving every cell at call time
+    would give. A report is read-only.
     """
 
-    __slots__ = ("reject", "variant", "lam", "n", "p", "_cells", "skipped")
+    __slots__ = ("reject", "variant", "lam", "n", "p", "_cells", "skipped", "_max")
 
     def __init__(self, reject, variant, lam, n, p, cells, skipped=()):
         # ``cells``: the tuple of cells, or a function that builds it once.
-        for name, value in zip(self.__slots__, (reject, variant, lam, n, p, cells, skipped)):
+        # ``_max``: set by the scan; see ``_max_ratio``.
+        for name, value in zip(self.__slots__, (reject, variant, lam, n, p, cells, skipped, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -96,8 +94,14 @@ class MultiTestReport:
             object.__setattr__(self, "_cells", self._cells())
         return self._cells
 
+    def _max_ratio(self) -> float:
+        """``max(stat / threshold)`` over the cells; unbuilt cells stay unbuilt."""
+        if callable(self._cells) and self._max is not None:
+            return self._max()
+        return max(c.stat / c.threshold for c in self.cells)
+
     def _fields(self):
-        """The values of ``__slots__``, with the cells built."""
+        """The values of ``__slots__`` but ``_max``, with the cells built."""
         return (self.reject, self.variant, self.lam, self.n, self.p, self.cells, self.skipped)
 
     def __eq__(self, other):
@@ -170,7 +174,7 @@ def entrywise_noise_level(X) -> float:
     return min(pre, suf)
 
 
-def _scan(variant, X, lam, noise, stat, rate, mode="report"):
+def _scan(variant, X, lam, noise, stat, rate):
     """The (t, s) scan that every covariance test runs.
 
     ``noise`` maps each sparsity, in scan order, to its noise scale or to
@@ -178,27 +182,18 @@ def _scan(variant, X, lam, noise, stat, rate, mode="report"):
     ``(statistic, converged)``. A cell triggers when its statistic exceeds
     ``lam * noise[s] * rate(p, n, s, t)``.
 
-    ``mode="report"`` solves every cell now, in scan order, and returns
-    the report with its cells built. The exact family scans this way.
-
-    The other two modes solve the s = 1 cells first and cap every other
-    cell by ``min(operator_norm(diff), s * max|diff|)``, which bounds the
-    exact and the relaxed statistic alike, plus a margin
+    ``reject`` is decided now. The s = 1 cells are solved first; every
+    other cell is capped by ``min(operator_norm(diff), s * max|diff|)``,
+    which bounds the exact and the relaxed statistic alike, plus a margin
     ``1e-9 * max(1, s * max|diff|)`` that exceeds any rounding by which a
-    statistic can pass its cap.
-
-    ``mode="decide"`` decides ``reject`` now: it stops at the first s = 1
-    cell that triggers and otherwise solves the cells whose cap exceeds
-    their threshold, in descending order of cap / threshold, until one
-    triggers. The returned report builds its cells on first read, reusing
-    the window differences and every statistic solved here and solving
-    each remaining cell once, in scan order. ``adaptive_sdp_test`` scans
-    this way.
-
-    ``mode="max"`` returns only ``max(stat / threshold)`` over the cells,
-    which is all calibration of the SDP family keeps. It solves the other
-    cells in descending order of cap / threshold, stopping at the first
-    below the running maximum, so no unsolved cell could raise it.
+    statistic can pass its cap. Unless an s = 1 cell triggers, the cells
+    whose cap exceeds their threshold are solved in descending order of
+    cap / threshold until one triggers. The report builds its cells on
+    first read, reusing the window differences and every statistic solved
+    so far and solving each remaining cell once, in scan order. Its
+    ``_max_ratio()`` walks the same order while the cells are unbuilt,
+    stopping at the first cap / threshold below the running maximum, so no
+    unsolved cell could raise it.
     """
     n, p = X.shape
     scan = CovarianceScan(X)
@@ -225,6 +220,7 @@ def _scan(variant, X, lam, noise, stat, rate, mode="report"):
             solved[i] = stat(cells[i][4], cells[i][1])
         return solved[i][0]
 
+    @functools.cache
     def ranked():
         """``(cap / threshold, cap, i)`` for every cell with s >= 2, by
         descending ratio; a zero threshold (zero noise scale) ranks first."""
@@ -239,7 +235,8 @@ def _scan(variant, X, lam, noise, stat, rate, mode="report"):
         return sorted(out, key=lambda c: c[0], reverse=True)
 
     singles = [i for i, c in enumerate(cells) if c[1] == 1]
-    if mode == "max":
+
+    def max_ratio():
         best = max((value(i) / cells[i][3] for i in singles), default=-math.inf)
         for bound, _, i in ranked():
             if bound < best:
@@ -261,22 +258,18 @@ def _scan(variant, X, lam, noise, stat, rate, mode="report"):
             for i, (t, s, scale, threshold, _) in enumerate(cells)
         )
 
-    if mode == "report":
-        built = build()
-        reject = any(c.triggered for c in built)
-    else:
-        built = build
-        reject = any(value(i) > cells[i][3] for i in singles) or any(
-            value(i) > cells[i][3] for _, cap, i in ranked() if cap > cells[i][3])
-    return MultiTestReport(
-        reject=reject,
+    report = MultiTestReport(
+        reject=any(value(i) > cells[i][3] for i in singles) or any(
+            value(i) > cells[i][3] for _, cap, i in ranked() if cap > cells[i][3]),
         variant=variant,
         lam=lam,
         n=n,
         p=p,
-        cells=built,
+        cells=build,
         skipped=tuple(skipped),
     )
+    object.__setattr__(report, "_max", max_ratio)
+    return report
 
 
 def _exact_stat(budget):
@@ -298,7 +291,9 @@ def covariance_test(
     s = _check_count(s, "s")
     if center:
         X = center_columns(X)
-    return _scan("oracle", X, lam, {s: float(sigma_sq)}, _exact_stat(budget), scan_rate)
+    report = _scan("oracle", X, lam, {s: float(sigma_sq)}, _exact_stat(budget), scan_rate)
+    report.cells  # the exact tests solve every cell at call time (ROADMAP item 2)
+    return report
 
 
 def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) -> MultiTestReport:
@@ -323,7 +318,9 @@ def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) ->
             noise[s] = sparse_noise_level(X, s, budget=budget)
         except NoiseWindowError:
             noise[s] = "noise window does not fit"
-    return _scan("adaptive", X, lam, noise, _exact_stat(budget), scan_rate)
+    report = _scan("adaptive", X, lam, noise, _exact_stat(budget), scan_rate)
+    report.cells  # the exact tests solve every cell at call time (ROADMAP item 2)
+    return report
 
 
 def adaptive_sdp_test(X, lam, tol: float = 1e-3, center: bool = False) -> MultiTestReport:
@@ -335,10 +332,6 @@ def adaptive_sdp_test(X, lam, tol: float = 1e-3, center: bool = False) -> MultiT
     relaxation solver did not certify its gap are still evaluated and
     flagged via ``converged=False``.
     """
-    return _sdp_scan(X, lam, tol, center, "decide")
-
-
-def _sdp_scan(X, lam, tol, center, mode):
     X = as_series(X)
     lam = _check_lam(lam)
     if center:
@@ -353,4 +346,4 @@ def _sdp_scan(X, lam, tol, center, mode):
         return sol.lower, sol.converged
 
     noise = dict.fromkeys(sparsity_grid(X.shape[1]), noise)
-    return _scan("adaptive_sdp", X, lam, noise, stat, scan_rate_relaxed, mode)
+    return _scan("adaptive_sdp", X, lam, noise, stat, scan_rate_relaxed)

@@ -144,18 +144,6 @@ def _one_sided(B, s, tol_abs, max_iter, stop_below=-np.inf):
     allows an early exit once the upper bound proves this side irrelevant.
     """
     p = B.shape[0]
-    if s == 1:
-        # The l1 constraint forces Z diagonal, so the program is linear over
-        # the probability simplex and both certificates are closed-form.
-        d = np.diag(B).copy()
-        k = int(np.argmax(d))
-        Z = np.zeros_like(B)
-        Z[k, k] = 1.0
-        off = B - np.diag(d)
-        m_off = float(np.abs(off).max(initial=0.0))
-        Y = np.diag(d) - m_off * np.eye(p) - B
-        return float(d[k]), Z, float(d[k]), Y, 0, True
-
     w, Q = np.linalg.eigh(B)
     lam_max = float(w[-1])
     lead = Q[:, -1]
@@ -239,6 +227,20 @@ def relaxed_sparse_eigmax(A, s, tol: float = 1e-3, max_iter: int = 5000) -> Rela
     if not (tol > 0) or not math.isfinite(tol):
         raise InvalidInputError(f"tol must be a positive finite real, got {tol}")
     max_iter = _check_count(max_iter, "max_iter", minimum=1)
+    if s == 1:
+        # The l1 constraint forces Z diagonal, so each side is linear over
+        # the probability simplex and both certificates are closed-form; the
+        # side with the larger diagonal extreme wins, +A on a tie.
+        sign = 1 if np.diag(A).max() >= -np.diag(A).min() else -1
+        B = sign * A
+        d = np.diag(B).copy()
+        k = int(np.argmax(d))
+        Z = np.zeros_like(B)
+        Z[k, k] = 1.0
+        m_off = float(np.abs(B - np.diag(d)).max(initial=0.0))
+        Y = np.diag(d) - m_off * np.eye(p) - B
+        return RelaxSolution(lower=min(abs(_inner(A, Z)), float(d[k])), upper=float(d[k]), Z=Z,
+                             Y=Y, dual_sign=sign, iterations=0, tol=tol, converged=True)
 
     tol_abs = tol * max(1.0, s * float(np.abs(A).max(initial=0.0)))
 

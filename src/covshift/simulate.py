@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import _check_count, _check_sparsity, dyadic_grid, loglog8n, minimax_rate
 from .exceptions import CovshiftError, InvalidInputError, SignalDomainError
-from .multivariate import _sdp_scan, adaptive_sdp_test, adaptive_test, covariance_test
+from .multivariate import adaptive_sdp_test, adaptive_test, covariance_test
 from .sparse_eig import DEFAULT_BUDGET
 from .univariate import variance_test
 
@@ -309,17 +309,20 @@ def mixture_chisq_uni(n, sigma_sq, rho) -> float:
 def mixture_chisq_uni_proof_bound(n, sigma_sq, rho) -> float:
     """Upper bound on the univariate mixture chi-square using the split
     exponential envelope instead of the exact cross terms; always at least
-    ``mixture_chisq_uni``, which it exists to check."""
+    ``mixture_chisq_uni``, which it exists to check; ``inf`` once a term
+    overflows."""
     deltas = dyadic_grid(n)
     total = 0.0
-    for di in deltas:
-        for dj in deltas:
-            d1, d2 = min(di, dj), max(di, dj)
-            l1, l2 = int(math.log2(di)), int(math.log2(dj))
-            term = math.exp(2.0 ** (-abs(l1 - l2) / 2.0 - 1.0) * rho)
-            if d1 <= rho:
-                term += math.exp(rho / 2.0)
-            total += term
+    try:
+        for di in deltas:
+            for dj in deltas:
+                l1, l2 = int(math.log2(di)), int(math.log2(dj))
+                term = math.exp(2.0 ** (-abs(l1 - l2) / 2.0 - 1.0) * rho)
+                if min(di, dj) <= rho:
+                    term += math.exp(rho / 2.0)
+                total += term
+    except OverflowError:
+        return math.inf
     return total / len(deltas) ** 2 - 1.0
 
 
@@ -342,7 +345,7 @@ def mixture_chisq_multi_exact(p, n, s, sigma_sq, rho) -> float:
         if p_h == 0.0:
             continue
         for k in range(h + 1):
-            weights[abs(2 * k - h)] += p_h * (math.comb(h, k) / 2.0 ** h)
+            weights[abs(2 * k - h)] += p_h * (math.comb(h, k) / 2 ** h)
     keep = weights > 0.0
     return _mixture_chisq(n, sigma_sq, rho, np.arange(s + 1)[keep] / s, weights[keep])
 
@@ -444,9 +447,9 @@ def calibrate_lambda(
     cells, and returns the empirical ``1 - delta`` quantile (upper order
     statistic, hence monotone in ``delta``; ``delta=1`` degenerates to the
     minimum). The result is the threshold multiplier ``lam`` giving the
-    corresponding test an approximate level of ``delta``. The SDP family's
-    scans solve only the cells that can set each maximum, which leaves it
-    unchanged bit for bit.
+    corresponding test an approximate level of ``delta``. A covariance
+    report finds its maximum without building its cells, so a scan solves
+    only the cells that can set it.
     """
     _check_family(family)
     if family == "uni" and p != 1:
@@ -463,11 +466,7 @@ def calibrate_lambda(
     stats = np.empty(_check_count(reps, "reps"))
     for r in range(reps):
         X = null_series(n, p, 1.0, [seed, r, _S_CAL])
-        if family == "adaptive_sdp":
-            stats[r] = _sdp_scan(X, 1.0, tol, False, "max")
-        else:
-            report = run_test(family, X, 1.0, s=s, budget=budget, tol=tol)
-            stats[r] = max(c.stat / c.threshold for c in report.cells)
+        stats[r] = run_test(family, X, 1.0, s=s, budget=budget, tol=tol)._max_ratio()
     return float(np.quantile(stats, 1.0 - delta, method="higher"))
 
 

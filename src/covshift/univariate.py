@@ -56,6 +56,10 @@ class UniTestReport:
     cells: tuple[UniTestCell, ...]
     skipped: tuple[tuple[int, str], ...]
 
+    def _max_ratio(self) -> float:
+        """``max(stat / threshold)`` over the cells."""
+        return max(c.stat / c.threshold for c in self.cells)
+
     def to_dict(self) -> dict:
         return {
             "reject": self.reject,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -264,8 +265,8 @@ class TestValidation:
 
 
 def _max_scan(X, center=False):
-    """The private max-mode scan that calibrates the SDP family."""
-    return multivariate._sdp_scan(X, 1.0, 1e-3, center, "max")
+    """The largest standardized ratio that calibrates the SDP family."""
+    return adaptive_sdp_test(X, 1.0, center=center)._max_ratio()
 
 
 def _panels():
@@ -285,8 +286,8 @@ def _panels():
 
 
 class TestMaxMode:
-    """The max mode that calibration of the SDP family uses returns the
-    report path's largest standardized ratio, bit for bit, while solving
+    """An SDP report's ``_max_ratio()``, which calibration uses, returns the
+    largest standardized ratio over its cells, bit for bit, while solving
     fewer cells."""
 
     @pytest.mark.parametrize("center", [False, True])
@@ -463,3 +464,81 @@ class TestDecision:
             report.cells
         assert len(set(solves)) == len(solves) == reps * 8 * 5
         assert decided == [any(c.triggered for c in r.cells) for r in reports]
+
+
+def _dense_panel():
+    """A change along the all-ones direction: an s >= 2 cell sets the
+    largest ratio of the SDP scan and of the exact scan over s = 1, 2, 4."""
+    rng = np.random.default_rng(72)
+    X = rng.standard_normal((64, 6))
+    X[:32] += 3.0 * rng.standard_normal((32, 1)) * np.ones(6) / np.sqrt(6)
+    return X
+
+
+class TestOnePath:
+    """Every covariance test runs one scan: ``reject`` is decided at call
+    time, and ``_max_ratio()`` equals the maximum over the built cells."""
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("family,s", _DECISION_FAMILIES)
+    def test_max_ratio_equals_cells_maximum(self, family, s, center):
+        for name, panel in {**_panels(), "dense": _dense_panel()}.items():
+            for lam in (0.5, 1.0, 4.0):
+                report = _decide(family, s, panel, lam, center)
+                first = report._max_ratio()
+                assert first == max(c.stat / c.threshold for c in report.cells), (name, lam)
+                assert report._max_ratio() == first
+
+    def test_dense_panel_maximum_is_at_s_above_one(self):
+        report = adaptive_sdp_test(_dense_panel(), 1.0)
+        assert max(report.cells, key=lambda c: c.stat / c.threshold).s > 1
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_exact_walk_equals_cells_maximum(self, center):
+        # The exact tests build their cells at call time; the scan's own
+        # walk over exact statistics must give the same maximum.
+        for name, panel in {**_panels(), "dense": _dense_panel()}.items():
+            X = center_columns(panel) if center else panel
+            report = multivariate._scan("oracle", X, 1.0, {1: 1.0, 2: 1.0, 4: 1.0},
+                                        multivariate._exact_stat(10**6), scan_rate)
+            first = report._max_ratio()
+            assert callable(report._cells)
+            assert first == max(c.stat / c.threshold for c in report.cells), name
+
+    def test_sdp_max_ratio_leaves_cells_unbuilt(self):
+        for panel in _panels().values():
+            report = adaptive_sdp_test(panel, 1.0)
+            report._max_ratio()
+            assert callable(report._cells)
+
+    def test_exact_tests_return_built_cells(self):
+        panel = _panels()["null"]
+        for report in (covariance_test(panel, 1.0, 2, 1.0), adaptive_test(panel, 1.0)):
+            assert isinstance(report._cells, tuple)
+        assert callable(adaptive_sdp_test(panel, 1.0)._cells)
+
+    def test_decision_max_and_cells_solve_each_cell_once(self, monkeypatch):
+        relax = multivariate.relaxed_sparse_eigmax
+        solves = []
+
+        def counting(A, s, **kwargs):
+            solves.append((id(A), s))
+            return relax(A, s, **kwargs)
+
+        monkeypatch.setattr(multivariate, "relaxed_sparse_eigmax", counting)
+        for r in range(4):
+            solves.clear()
+            report = adaptive_sdp_test(null_series(256, 16, 1.0, [9, r, _S_CAL]), 1.0)
+            report._max_ratio()
+            cells = report.cells
+            assert len(set(solves)) == len(solves) == len(cells)
+
+    @pytest.mark.parametrize("family,s", _DECISION_FAMILIES)
+    def test_pickled_report_keeps_max_ratio(self, family, s):
+        for panel in _panels().values():
+            report = _decide(family, s, panel, 1.0, False)
+            first = report._max_ratio()
+            clone = pickle.loads(pickle.dumps(report))
+            assert clone._max_ratio() == first
+            assert clone == report and hash(clone) == hash(report)
+            assert repr(clone) == repr(report)

@@ -148,6 +148,75 @@ class TestCertificates:
         assert hit_unconverged
 
 
+def _two_sided_one_sparse(A, tol=1e-3):
+    """Reference: the s = 1 relaxation solved on both sides, ``+A`` and
+    ``-A``, each in closed form, and combined like every other sparsity."""
+    A = (A + A.T) / 2.0
+    p = A.shape[0]
+    tol_abs = tol * max(1.0, float(np.abs(A).max(initial=0.0)))
+    w = np.linalg.eigvalsh(A)
+    results = {}
+    for sign in ([1.0, -1.0] if w[-1] >= -w[0] else [-1.0, 1.0]):
+        B = sign * A
+        d = np.diag(B).copy()
+        k = int(np.argmax(d))
+        Z = np.zeros_like(B)
+        Z[k, k] = 1.0
+        m_off = float(np.abs(B - np.diag(d)).max(initial=0.0))
+        Y = np.diag(d) - m_off * np.eye(p) - B
+        results[sign] = (float(d[k]), Z, float(d[k]), Y, 0, True)
+    lower_sign = max((1.0, -1.0), key=lambda sg: results[sg][0])
+    upper_sign = max((1.0, -1.0), key=lambda sg: results[sg][2])
+    lower, Z = results[lower_sign][0], results[lower_sign][1]
+    upper, Y = results[upper_sign][2], results[upper_sign][3]
+    minor = -lower_sign
+    side_done = results[minor][5] or results[minor][2] <= lower
+    converged = (upper - lower <= tol_abs) and results[lower_sign][5] and side_done
+    return sdp_relax.RelaxSolution(
+        lower=min(abs(sdp_relax._inner(A, Z)), float(upper)), upper=float(upper), Z=Z, Y=Y,
+        dual_sign=int(upper_sign), iterations=0, tol=tol, converged=bool(converged))
+
+
+class TestOneSparseClosedForm:
+    """At s = 1 the relaxation answers from the diagonal alone, with every
+    field equal bit for bit to solving both sides."""
+
+    @staticmethod
+    def _matrices(rng):
+        for _ in range(300):
+            p = int(rng.integers(1, 12))
+            yield rand_sym(rng, p, scale=float(rng.choice([1e-3, 1.0, 1e3])))
+            yield rand_sym(rng, p).round()  # integer entries: ties and zeros
+            yield np.diag(rng.integers(-3, 4, size=p).astype(float))
+            yield -rand_psd(rng, p)  # every diagonal entry negative
+        for p in (1, 4):
+            yield np.zeros((p, p))
+        yield np.diag([2.0, -2.0, 0.0])  # +-d tie, +A wins
+        yield np.diag([-2.0, 2.0])
+
+    def test_every_field_equals_two_sided_path(self, rng):
+        for A in self._matrices(rng):
+            got, want = relaxed_sparse_eigmax(A, 1), _two_sided_one_sparse(A)
+            for field in ("lower", "upper", "dual_sign", "iterations", "tol", "converged"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert type(a) is type(b) and np.float64(a).tobytes() == np.float64(b).tobytes()
+            for field in ("Z", "Y"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_tie_picks_plus_side(self):
+        assert relaxed_sparse_eigmax(np.diag([2.0, -2.0, 0.0]), 1).dual_sign == 1
+        assert relaxed_sparse_eigmax(np.diag([-2.0, 1.0]), 1).dual_sign == -1
+
+    def test_no_eigendecomposition(self, rng, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("s = 1 needs no eigendecomposition")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        for A in (rand_sym(rng, 6), np.zeros((3, 3)), -rand_psd(rng, 5)):
+            relaxed_sparse_eigmax(A, 1)
+
+
 def sorted_simplex_projection(v):
     u = np.sort(v)[::-1]
     css = np.cumsum(u)

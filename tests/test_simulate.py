@@ -18,7 +18,9 @@ from covshift import (
     signal_strength_uni,
     variance_test,
 )
+from covshift import simulate
 from covshift.simulate import (
+    FAMILIES,
     AltDraw,
     PriorSpec,
     calibrate_lambda,
@@ -396,6 +398,16 @@ class TestMixtureChisq:
         multi = mixture_chisq_multi_exact(64, 128, 2, 1.0, 6.0)
         assert multi < 0.25 * uni
 
+    def test_proof_bound_overflow_gives_inf(self):
+        exact = mixture_chisq_uni(64, 1.0, 2000.0)
+        assert math.isfinite(exact)
+        assert mixture_chisq_uni_proof_bound(64, 1.0, 2000.0) == math.inf >= exact
+
+    def test_exact_finite_for_sparsity_beyond_1023(self):
+        # 2.0 ** s overflows a float from s = 1024 on
+        for s in (1024, 1030):
+            assert math.isfinite(mixture_chisq_multi_exact(s, 64, s, 1.0, 1.0))
+
     def test_exact_rejects_fractional_sparsity(self):
         with pytest.raises(InvalidInputError, match="s must be an integer"):
             mixture_chisq_multi_exact(4, 64, 2.0, 1.0, 2.0)
@@ -518,16 +530,31 @@ class TestCalibration:
             calibrate_lambda("oracle", 64, p=4, delta=0.1, reps=100, seed=0)
 
     def test_multi_families_return_positive(self):
-        for fam, kw in (("oracle", {"s": 2}), ("adaptive", {}), ("adaptive_sdp", {})):
-            lam = calibrate_lambda(fam, 64, p=4, delta=0.2, reps=60, seed=1, **kw)
+        for fam, p, kw in (("uni", 1, {}), ("oracle", 4, {"s": 2}), ("adaptive", 4, {}),
+                           ("adaptive_sdp", 4, {})):
+            lam = calibrate_lambda(fam, 64, p=p, delta=0.2, reps=60, seed=1, **kw)
             assert lam > 0 and math.isfinite(lam)
             # the same order statistic of the full reports' maxima
             maxima = [
                 max(c.stat / c.threshold
-                    for c in run_test(fam, null_series(64, 4, 1.0, [1, r, 4]), 1.0, **kw).cells)
+                    for c in run_test(fam, null_series(64, p, 1.0, [1, r, 4]), 1.0, **kw).cells)
                 for r in range(60)
             ]
             assert lam == float(np.quantile(maxima, 0.8, method="higher"))
+
+
+    def test_every_family_calibrates_through_run_test(self, monkeypatch):
+        calls = []
+
+        def counting(family, X, lam, **kwargs):
+            calls.append(family)
+            return run_test(family, X, lam, **kwargs)
+
+        monkeypatch.setattr(simulate, "run_test", counting)
+        for fam, p, kw in (("uni", 1, {}), ("oracle", 4, {"s": 2}), ("adaptive", 4, {}),
+                           ("adaptive_sdp", 4, {})):
+            calibrate_lambda(fam, 64, p=p, delta=1.0, reps=5, seed=1, **kw)
+        assert calls == [f for f in FAMILIES for _ in range(5)]
 
 
 class TestDetectionBoundary:
