@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import sys
 
@@ -58,7 +59,7 @@ def _format_value(x):
             return "Infinity" if x > 0 else "-Infinity"
         return format(x, ".17g")
     if isinstance(x, str):
-        return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(x, ensure_ascii=False)
     if x is None:
         return "null"
     raise TypeError(f"unserializable value {x!r}")

@@ -47,10 +47,10 @@ def _check_sparsity(s, p):
     return s
 
 
-def _check_lam(lam):
-    if not (lam > 0) or math.isnan(lam):
-        raise InvalidInputError(f"lambda must be positive, got {lam}")
-    return float(lam)
+def _check_positive(value, name):
+    if not (value > 0):
+        raise InvalidInputError(f"{name} must be positive, got {value}")
+    return float(value)
 
 
 def as_series(values) -> np.ndarray:
@@ -74,19 +74,19 @@ def as_series(values) -> np.ndarray:
     return X
 
 
-def sym_matrix(A, tol: float = SYM_TOL) -> np.ndarray:
+def sym_matrix(A) -> np.ndarray:
     """Validate a symmetric matrix and return its exact symmetrization.
 
     The input must be square and symmetric to within absolute tolerance
-    ``tol``; the returned matrix is ``(A + A.T) / 2``.
+    ``SYM_TOL``; the returned matrix is ``(A + A.T) / 2``.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise InvalidInputError("matrix contains non-finite entries")
-    if np.abs(A - A.T).max(initial=0.0) > tol:
-        raise InvalidInputError(f"matrix is not symmetric within tolerance {tol}")
+    if np.abs(A - A.T).max(initial=0.0) > SYM_TOL:
+        raise InvalidInputError(f"matrix is not symmetric within tolerance {SYM_TOL}")
     return (A + A.T) / 2.0
 
 
@@ -140,17 +140,23 @@ def minimax_rate(p, n, s) -> float:
     return max(s * math.log(math.e * p / s), loglog8n(n))
 
 
+def _rate_shape(g, t) -> float:
+    """``max(sqrt(g/t), g/t)``: how a window of ``t`` rows scales a
+    difficulty ``g``, the shape of every scan threshold."""
+    return max(math.sqrt(g / t), g / t)
+
+
 def scan_rate(p, n, s, t) -> float:
     """Threshold rate for the exact sparse-eigenvalue scan at window ``t``:
     ``max(sqrt(g/t), g/t)`` with ``g = minimax_rate(p, n, s)``."""
     t = _check_count(t, "t", minimum=1)
-    g = minimax_rate(p, n, s)
-    return max(math.sqrt(g / t), g / t)
+    return _rate_shape(minimax_rate(p, n, s), t)
 
 
 def scan_rate_relaxed(p, n, s, t) -> float:
     """Threshold rate for the SDP-relaxed scan at window ``t``:
-    ``s * max(sqrt(L/t), L/t)`` with ``L = max(log(e*p), loglog8n(n))``.
+    ``s * scan_rate(p, n, 1, t)``, that is ``s * max(sqrt(L/t), L/t)`` with
+    ``L = minimax_rate(p, n, 1) = max(log(e*p), loglog8n(n))``.
 
     Dominates ``scan_rate`` for every admissible input, which is the price
     of the polynomial-time statistic.
@@ -158,8 +164,7 @@ def scan_rate_relaxed(p, n, s, t) -> float:
     p = _check_count(p, "p", minimum=1)
     s = _check_sparsity(s, p)
     t = _check_count(t, "t", minimum=1)
-    ell = max(math.log(math.e * p), loglog8n(n))
-    return s * max(math.sqrt(ell / t), ell / t)
+    return s * _rate_shape(minimax_rate(p, n, 1), t)
 
 
 def _check_window(t, n):
@@ -182,19 +187,19 @@ class CovarianceScan:
     """
 
     def __init__(self, X, grid=None):
-        self.X = as_series(X)
-        n = self.X.shape[0]
+        X = as_series(X)
+        n, p = X.shape
         if grid is None:
             grid = dyadic_grid(n)
         grid = sorted({_check_window(t, n) for t in grid})
         self._prefix = {}
         self._suffix = {}
-        acc_pre = np.zeros((self.X.shape[1], self.X.shape[1]))
+        acc_pre = np.zeros((p, p))
         acc_suf = np.zeros_like(acc_pre)
         prev = 0
         for t in grid:
-            pre_block = self.X[prev:t]
-            suf_block = self.X[n - t:n - prev]
+            pre_block = X[prev:t]
+            suf_block = X[n - t:n - prev]
             acc_pre = acc_pre + pre_block.T @ pre_block
             acc_suf = acc_suf + suf_block.T @ suf_block
             M_pre, M_suf = acc_pre / t, acc_suf / t
@@ -219,17 +224,23 @@ class CovarianceScan:
         return self.prefix(t) - self.suffix(t)
 
 
-def signal_strength_uni(t0, n, sigma1_sq, sigma2_sq) -> float:
-    """Signal strength of a variance change: ``min(t0, n-t0) * min(r, r**2)``
-    with ``r = |sigma1_sq - sigma2_sq| / min(sigma1_sq, sigma2_sq)``."""
+def _shorter_side(t0, n):
+    """``min(t0, n - t0)`` for a changepoint ``t0`` in ``[1, n - 1]``."""
     n = _check_count(n, "n", minimum=2)
     t0 = _check_count(t0, "t0", minimum=1)
     if t0 > n - 1:
         raise InvalidInputError(f"t0 must be in [1, n-1]=[1, {n - 1}], got {t0}")
+    return min(t0, n - t0)
+
+
+def signal_strength_uni(t0, n, sigma1_sq, sigma2_sq) -> float:
+    """Signal strength of a variance change: ``min(t0, n-t0) * min(r, r**2)``
+    with ``r = |sigma1_sq - sigma2_sq| / min(sigma1_sq, sigma2_sq)``."""
+    side = _shorter_side(t0, n)
     if not (sigma1_sq > 0 and sigma2_sq > 0):
         raise InvalidInputError("variances must be strictly positive")
     ratio = abs(sigma1_sq - sigma2_sq) / min(sigma1_sq, sigma2_sq)
-    return min(t0, n - t0) * min(ratio, ratio * ratio)
+    return side * min(ratio, ratio * ratio)
 
 
 def signal_strength_multi(t0, n, Sigma1, Sigma2) -> float:
@@ -240,10 +251,7 @@ def signal_strength_multi(t0, n, Sigma1, Sigma2) -> float:
     ``min(t0, n-t0) * min(r, r**2)`` where ``r = d / (sigma_sq - d)``.
     Undefined (raises) when ``d >= sigma_sq``.
     """
-    n = _check_count(n, "n", minimum=2)
-    t0 = _check_count(t0, "t0", minimum=1)
-    if t0 > n - 1:
-        raise InvalidInputError(f"t0 must be in [1, n-1]=[1, {n - 1}], got {t0}")
+    side = _shorter_side(t0, n)
     S1 = sym_matrix(Sigma1)
     S2 = sym_matrix(Sigma2)
     if S1.shape != S2.shape:
@@ -258,4 +266,4 @@ def signal_strength_multi(t0, n, Sigma1, Sigma2) -> float:
             f"level ({diff} >= {sigma_sq}); signal strength is undefined"
         )
     r = diff / (sigma_sq - diff)
-    return min(t0, n - t0) * min(r, r * r)
+    return side * min(r, r * r)

@@ -27,7 +27,7 @@ import numpy as np
 from .core import (
     CovarianceScan,
     _check_count,
-    _check_lam,
+    _check_positive,
     as_series,
     center_columns,
     scan_rate,
@@ -37,11 +37,7 @@ from .core import (
     operator_norm,
     sym_matrix,
 )
-from .exceptions import (
-    InvalidInputError,
-    NoiseWindowError,
-    UndecidableInputError,
-)
+from .exceptions import NoiseWindowError, UndecidableInputError
 from .sdp_relax import relaxed_sparse_eigmax
 from .sparse_eig import DEFAULT_BUDGET, sparse_abs_eigmax
 
@@ -131,26 +127,34 @@ class MultiTestReport:
         }
 
 
+def _outer_windows(X, w, label):
+    """Second-moment matrices of the first and the last ``w`` rows of ``X``;
+    ``label`` names ``w`` in the error raised when the two would overlap."""
+    n = X.shape[0]
+    if w > n // 2:
+        raise NoiseWindowError(
+            f"noise window {label}={w} does not fit twice in n={n}; "
+            f"the estimator needs n >= {2 * w} samples"
+        )
+    window = CovarianceScan(X, [w])
+    return window.prefix(w), window.suffix(w)
+
+
 def sparse_noise_level(X, s, budget: int = DEFAULT_BUDGET) -> float:
     """Noise-level estimate for sparsity ``s`` from the outermost windows.
 
     Uses the first and last ``ceil(minimax_rate(p, n, s))`` observations,
     the smallest windows on which an s-sparse change is detectable at all,
-    and returns the smaller of the two sparse eigenvalues so that a
+    and returns the smaller of the two s-sparse eigenvalues so that a
     changepoint inside one window cannot inflate the estimate. Raises
-    ``NoiseWindowError`` when the two windows would overlap.
+    ``NoiseWindowError`` when the two windows would overlap; the windows
+    and that check are shared with ``entrywise_noise_level``.
     """
     X = as_series(X)
     n, p = X.shape
     w = math.ceil(minimax_rate(p, n, s))
-    if w > n // 2:
-        raise NoiseWindowError(
-            f"noise window ceil(rate)={w} for s={s} does not fit twice in n={n}"
-        )
-    window = CovarianceScan(X, [w])
-    pre = sparse_abs_eigmax(window.prefix(w), s, budget=budget).value
-    suf = sparse_abs_eigmax(window.suffix(w), s, budget=budget).value
-    return min(pre, suf)
+    windows = _outer_windows(X, w, f"ceil(minimax_rate(p, n, {s}))")
+    return min(sparse_abs_eigmax(M, s, budget=budget).value for M in windows)
 
 
 def entrywise_noise_level(X) -> float:
@@ -161,17 +165,8 @@ def entrywise_noise_level(X) -> float:
     max-abs of the two outermost windows of length ``ceil(log(e*p))``.
     """
     X = as_series(X)
-    n, p = X.shape
-    w = math.ceil(math.log(math.e * p))
-    if w > n // 2:
-        raise NoiseWindowError(
-            f"noise window ceil(log(e*p))={w} does not fit twice in n={n}; "
-            f"the estimator needs n >= {2 * w} samples"
-        )
-    window = CovarianceScan(X, [w])
-    pre = float(np.abs(window.prefix(w)).max())
-    suf = float(np.abs(window.suffix(w)).max())
-    return min(pre, suf)
+    windows = _outer_windows(X, math.ceil(math.log(math.e * X.shape[1])), "ceil(log(e*p))")
+    return min(float(np.abs(M).max()) for M in windows)
 
 
 def _scan(variant, X, lam, noise, stat, rate):
@@ -285,13 +280,12 @@ def covariance_test(
     difference exceeds ``lam * sigma_sq * scan_rate(p, n, s, t)``.
     """
     X = as_series(X)
-    lam = _check_lam(lam)
-    if not (sigma_sq > 0):
-        raise InvalidInputError(f"sigma_sq must be positive, got {sigma_sq}")
+    lam = _check_positive(lam, "lambda")
+    sigma_sq = _check_positive(sigma_sq, "sigma_sq")
     s = _check_count(s, "s")
     if center:
         X = center_columns(X)
-    report = _scan("oracle", X, lam, {s: float(sigma_sq)}, _exact_stat(budget), scan_rate)
+    report = _scan("oracle", X, lam, {s: sigma_sq}, _exact_stat(budget), scan_rate)
     report.cells  # the exact tests solve every cell at call time (ROADMAP item 2)
     return report
 
@@ -305,7 +299,7 @@ def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) ->
     recorded as skipped; if nothing remains, the input is undecidable.
     """
     X = as_series(X)
-    lam = _check_lam(lam)
+    lam = _check_positive(lam, "lambda")
     if center:
         X = center_columns(X)
     n, p = X.shape
@@ -333,7 +327,7 @@ def adaptive_sdp_test(X, lam, tol: float = 1e-3, center: bool = False) -> MultiT
     flagged via ``converged=False``.
     """
     X = as_series(X)
-    lam = _check_lam(lam)
+    lam = _check_positive(lam, "lambda")
     if center:
         X = center_columns(X)
     try:

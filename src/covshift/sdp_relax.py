@@ -37,6 +37,8 @@ __all__ = ["RelaxSolution", "relaxed_sparse_eigmax", "dual_upper_bound"]
 _RELAX = 1.7
 _FIRST_CHECK = 10
 _CHECK_GROWTH = 1.35
+# Iteration budget of each one-sided program.
+_MAX_ITER = 5000
 
 
 @dataclass(frozen=True)
@@ -137,7 +139,7 @@ def _feasible_polish(M, s, vertex):
     return Z
 
 
-def _one_sided(B, s, tol_abs, max_iter, stop_below=-np.inf):
+def _one_sided(B, s, tol_abs, stop_below):
     """Certified interval for ``sup trace(B Z)`` over the feasible set.
 
     Returns ``(lower, Z, upper, Y, iterations, converged)``. ``stop_below``
@@ -182,8 +184,8 @@ def _one_sided(B, s, tol_abs, max_iter, stop_below=-np.inf):
     it = 0
     next_check = _FIRST_CHECK
     converged = best_upper - best_lower <= tol_abs
-    while it < max_iter and not converged and best_upper > stop_below:
-        stop_at = min(next_check, max_iter)
+    while it < _MAX_ITER and not converged and best_upper > stop_below:
+        stop_at = min(next_check, _MAX_ITER)
         while it < stop_at:
             Z = _proj_spectraplex(W - U + Bstep)
             Zr = _RELAX * Z + (1.0 - _RELAX) * W
@@ -204,7 +206,7 @@ def _one_sided(B, s, tol_abs, max_iter, stop_below=-np.inf):
     return best_lower, best_Z, best_upper, best_Y, it, converged
 
 
-def relaxed_sparse_eigmax(A, s, tol: float = 1e-3, max_iter: int = 5000) -> RelaxSolution:
+def relaxed_sparse_eigmax(A, s, tol: float = 1e-3) -> RelaxSolution:
     """Certified interval for the relaxed largest absolute s-sparse eigenvalue.
 
     Solves ``sup |trace(A Z)|`` over ``{Z >= 0, trace(Z) = 1, ||Z||_1 <= s}``
@@ -216,17 +218,15 @@ def relaxed_sparse_eigmax(A, s, tol: float = 1e-3, max_iter: int = 5000) -> Rela
     ----------
     tol : float
         Relative gap target; convergence means
-        ``upper - lower <= tol * max(1, s * max|A_ij|)``.
-    max_iter : int
-        Iteration budget per one-sided program. On exhaustion the best
-        certified interval is returned with ``converged=False``.
+        ``upper - lower <= tol * max(1, s * max|A_ij|)``. Each one-sided
+        program stops after ``_MAX_ITER`` (5000) iterations; on exhaustion
+        the best certified interval is returned with ``converged=False``.
     """
     A = sym_matrix(A)
     p = A.shape[0]
     s = _check_sparsity(s, p)
     if not (tol > 0) or not math.isfinite(tol):
         raise InvalidInputError(f"tol must be a positive finite real, got {tol}")
-    max_iter = _check_count(max_iter, "max_iter", minimum=1)
     if s == 1:
         # The l1 constraint forces Z diagonal, so each side is linear over
         # the probability simplex and both certificates are closed-form; the
@@ -252,9 +252,7 @@ def relaxed_sparse_eigmax(A, s, tol: float = 1e-3, max_iter: int = 5000) -> Rela
     for sign in sides:
         # Interval halves so the combined gap stays within tol_abs; the
         # second side may stop once provably below the first side's value.
-        results[sign] = _one_sided(
-            sign * A, s, tol_abs / 2.0, max_iter, stop_below=first_lower
-        )
+        results[sign] = _one_sided(sign * A, s, tol_abs / 2.0, first_lower)
         first_lower = results[sign][0]
 
     lower_sign = max((1.0, -1.0), key=lambda sg: results[sg][0])

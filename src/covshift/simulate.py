@@ -14,7 +14,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _check_count, _check_sparsity, dyadic_grid, loglog8n, minimax_rate
+from .core import (
+    _check_count, _check_positive, _check_sparsity, dyadic_grid, loglog8n, minimax_rate,
+)
 from .exceptions import CovshiftError, InvalidInputError, SignalDomainError
 from .multivariate import adaptive_sdp_test, adaptive_test, covariance_test
 from .sparse_eig import DEFAULT_BUDGET
@@ -107,10 +109,8 @@ class PriorSpec:
         if self.kind == "uni" and self.p != 1:
             raise InvalidInputError("kind='uni' requires p=1")
         _check_sparsity(self.s, self.p)
-        if not (self.sigma_sq > 0):
-            raise InvalidInputError(f"sigma_sq must be positive, got {self.sigma_sq}")
-        if not (self.rho > 0):
-            raise InvalidInputError(f"rho must be positive, got {self.rho}")
+        _check_positive(self.sigma_sq, "sigma_sq")
+        _check_positive(self.rho, "rho")
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,8 @@ def variance_shrinkage(delta, rho, sigma_sq) -> float:
     """
     if not (isinstance(delta, (int, np.integer)) and delta >= 1):
         raise InvalidInputError(f"delta must be an integer >= 1, got {delta!r}")
-    if not (rho > 0):
-        raise InvalidInputError(f"rho must be positive, got {rho}")
-    if not (sigma_sq > 0):
-        raise InvalidInputError(f"sigma_sq must be positive, got {sigma_sq}")
+    _check_positive(rho, "rho")
+    _check_positive(sigma_sq, "sigma_sq")
     if delta <= rho:
         return sigma_sq * rho / (delta + rho)
     return sigma_sq * math.sqrt(rho) / (math.sqrt(delta) + math.sqrt(rho))
@@ -254,8 +252,7 @@ def chisq_cross_term(delta1, delta2, kappa1, kappa2, sigma_sq, inner) -> ChisqCr
         raise InvalidInputError(
             f"need 1 <= delta1 <= delta2, got ({delta1}, {delta2}); sort before calling"
         )
-    if not (sigma_sq > 0):
-        raise InvalidInputError(f"sigma_sq must be positive, got {sigma_sq}")
+    _check_positive(sigma_sq, "sigma_sq")
     for k in (kappa1, kappa2):
         if not (0 < k < sigma_sq):
             raise SignalDomainError(f"kappa={k} must lie in (0, sigma_sq={sigma_sq})")
@@ -470,51 +467,49 @@ def calibrate_lambda(
     return float(np.quantile(stats, 1.0 - delta, method="higher"))
 
 
-def _power_uni(n, lam, rho, reps, seed, sigma_sq=1.0):
+def _power_uni(n, lam, rho, reps, seed):
     """Rejection rate of the univariate test against the prior at signal
-    strength rho. Common random numbers across rho values: replicate r uses
-    the same streams regardless of rho."""
-    spec = PriorSpec("uni", n=n, p=1, sigma_sq=sigma_sq, rho=rho)
+    strength rho and unit noise level. Common random numbers across rho
+    values: replicate r uses the same streams regardless of rho."""
+    spec = PriorSpec("uni", n=n, p=1, sigma_sq=1.0, rho=rho)
     rejected = sum(run_test("uni", _alternative_panel(spec, seed, r), lam).reject
                    for r in range(reps))
     return rejected / reps
 
 
-def detection_boundary_uni(
-    n,
-    lam,
-    reps: int = 400,
-    seed=0,
-    target: float = 0.5,
-    steps: int = 12,
-) -> dict:
-    """Bisect the signal strength at which the univariate test reaches the
-    target power against the prior, holding ``lam`` fixed.
+# Power that ``detection_boundary_uni`` locates, and its bisection steps.
+_TARGET_POWER = 0.5
+_BISECT_STEPS = 12
 
-    Returns a record with the bracketing history and the located boundary
-    ``rho_star`` (geometric midpoint of the final bracket). The ratio
-    ``rho_star / loglog8n(n)`` is the quantity whose boundedness across
-    ``n`` reflects the detection-boundary scaling.
+
+def detection_boundary_uni(n, lam, reps: int = 400, seed=0) -> dict:
+    """Bisect the signal strength at which the univariate test reaches
+    power 0.5 against the prior, holding ``lam`` fixed.
+
+    The bracket starts at ``[0.01, 4] * loglog8n(n)``; its upper end grows
+    fourfold (at most 12 times) until the power there reaches 0.5, and 12
+    bisection steps follow, so the search makes ``13 + expansions`` power
+    estimates of ``reps`` replicates each. Returns a record with the final
+    bracket and the located boundary ``rho_star``, its geometric midpoint.
+    The ratio ``rho_star / loglog8n(n)`` is the quantity whose boundedness
+    across ``n`` reflects the detection-boundary scaling.
     """
-    if not (0 < target < 1):
-        raise InvalidInputError(f"target power must lie in (0, 1), got {target}")
     base = loglog8n(n)
     lo, hi = 0.01 * base, 4.0 * base
-    p_lo = _power_uni(n, lam, lo, reps, seed)
     p_hi = _power_uni(n, lam, hi, reps, seed)
     expansions = 0
-    while p_hi < target and expansions < 12:
-        lo, p_lo = hi, p_hi
+    while p_hi < _TARGET_POWER and expansions < 12:
+        lo = hi
         hi *= 4.0
         p_hi = _power_uni(n, lam, hi, reps, seed)
         expansions += 1
-    if p_hi < target:
+    if p_hi < _TARGET_POWER:
         raise RuntimeError(
-            f"power never reached {target} up to rho={hi}; lambda may be too large"
+            f"power never reached {_TARGET_POWER} up to rho={hi}; lambda may be too large"
         )
-    for _ in range(steps):
+    for _ in range(_BISECT_STEPS):
         mid = math.sqrt(lo * hi)
-        if _power_uni(n, lam, mid, reps, seed) < target:
+        if _power_uni(n, lam, mid, reps, seed) < _TARGET_POWER:
             lo = mid
         else:
             hi = mid
@@ -527,5 +522,5 @@ def detection_boundary_uni(
         "rho_star_over_loglog8n": rho_star / base,
         "bracket": [lo, hi],
         "reps": reps,
-        "target": target,
+        "target": _TARGET_POWER,
     }

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# operator_norm is the s = p case; it stays reachable from this module.
-from .core import _check_sparsity, operator_norm, sym_matrix  # noqa: F401
+from .core import _check_sparsity, sym_matrix
 from .exceptions import EnumerationBudgetError
 
 __all__ = ["SparseEigResult", "sparse_abs_eigmax", "DEFAULT_BUDGET"]

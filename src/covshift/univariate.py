@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _check_lam, as_series, center_columns, dyadic_grid, loglog8n
+from .core import _check_positive, _rate_shape, as_series, center_columns, dyadic_grid, loglog8n
 from .exceptions import InvalidInputError
 
 __all__ = [
@@ -76,8 +76,8 @@ def variance_test(x, lam, center: bool = False) -> UniTestReport:
     A window triggers when its statistic exceeds
     ``lam * max(sqrt(L/t), L/t)`` with ``L = loglog8n(n)``; ties at the
     threshold do not trigger. A window with exactly one zero-variance side
-    is treated as an infinite ratio and triggers; a window with both sides
-    zero carries no information and is skipped.
+    has an infinite ratio, which triggers at every finite ``lam``; a window
+    with both sides zero carries no information and is skipped.
 
     Parameters
     ----------
@@ -89,7 +89,7 @@ def variance_test(x, lam, center: bool = False) -> UniTestReport:
         mean-zero data).
     """
     x = _as_univariate(x)
-    lam = _check_lam(lam)
+    lam = _check_positive(lam, "lambda")
     if center:
         x = center_columns(x)[:, 0]
     n = x.size
@@ -104,15 +104,11 @@ def variance_test(x, lam, center: bool = False) -> UniTestReport:
     for t in dyadic_grid(n):
         v1 = cs[t - 1] / t
         v2 = cs_rev[t - 1] / t
-        rate = max(math.sqrt(ell / t), ell / t)
-        threshold = lam * rate
+        threshold = lam * _rate_shape(ell, t)
         if v1 <= 0.0 and v2 <= 0.0:
             skipped.append((t, "zero variance on both sides"))
             continue
-        if v1 <= 0.0 or v2 <= 0.0:
-            cells.append(UniTestCell(t=t, stat=math.inf, threshold=threshold, triggered=True))
-            continue
-        stat = float(max(v1 / v2, v2 / v1) - 1.0)
+        stat = math.inf if v1 <= 0.0 or v2 <= 0.0 else float(max(v1 / v2, v2 / v1) - 1.0)
         cells.append(UniTestCell(t=t, stat=stat, threshold=threshold, triggered=stat > threshold))
     return UniTestReport(
         reject=any(c.triggered for c in cells),

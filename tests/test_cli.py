@@ -49,6 +49,14 @@ class TestUniCommand:
         assert run_cli(args) == 0
         assert open(out, "rb").read() == first
 
+    def test_control_characters_in_strings(self, tmp_path, capsys):
+        # a tab in the input path is escaped, so the report stays valid JSON
+        data = write(tmp_path, "a\tb.csv", "1\n1\n2\n2\n")
+        assert run_cli(["test-uni", "--input", data, "--lambda", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert "\\t" in out and "\t" not in out
+        assert json.loads(out)["config"]["input"] == data
+
     def test_multicolumn_rejected(self, tmp_path, capsys):
         data = write(tmp_path, "x.csv", "1,2\n3,4\n5,6\n")
         assert run_cli(["test-uni", "--input", data, "--lambda", "1.0"]) == 2

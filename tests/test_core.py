@@ -100,6 +100,23 @@ class TestRates:
             expect = s * max(math.sqrt(ell / t), ell / t)
             assert scan_rate_relaxed(p, n, s, t) == pytest.approx(expect, rel=1e-13)
 
+    def test_rates_bit_for_bit(self):
+        # each rate written out in full, independently of the shared shape
+        def exact(p, n, s, t):
+            g = max(s * math.log(math.e * p / s), math.log(math.log(8.0 * n)))
+            return max(math.sqrt(g / t), g / t)
+
+        def relaxed(p, n, s, t):
+            ell = max(math.log(math.e * p), math.log(math.log(8.0 * n)))
+            return s * max(math.sqrt(ell / t), ell / t)
+
+        for p in (1, 2, 3, 5, 8, 13, 16, 33, 64, 100):
+            for n in (2, 3, 16, 100, 1000, 8192, 10**6):
+                for t in (1, 2, 3, 7, 16, 100, 1000, 4096):
+                    for s in range(1, p + 1):
+                        assert scan_rate(p, n, s, t) == exact(p, n, s, t)
+                        assert scan_rate_relaxed(p, n, s, t) == relaxed(p, n, s, t)
+
     def test_relaxed_rate_s1_matches_exact_form(self):
         # at s=1 the relaxed rate is the plain rate with log(e*p) in place
         # of s*log(ep/s); the two coincide since both equal log(e*p)

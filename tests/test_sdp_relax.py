@@ -134,12 +134,13 @@ class TestCertificates:
             assert sol.lower <= sol.upper
             assert sol.upper - sol.lower <= 1e-12 * max(1.0, p * float(np.abs(A).max()))
 
-    def test_interval_valid_even_unconverged(self, rng):
+    def test_interval_valid_even_unconverged(self, rng, monkeypatch):
+        monkeypatch.setattr(sdp_relax, "_MAX_ITER", 12)
         hit_unconverged = False
         for k in range(40):
             p = 12
             A = rand_sym(rng, p)
-            sol = relaxed_sparse_eigmax(A, 3, tol=1e-10, max_iter=12)
+            sol = relaxed_sparse_eigmax(A, 3, tol=1e-10)
             exact = sparse_abs_eigmax(A, 3).value
             assert sol.lower <= sol.upper + 1e-12
             assert exact - 1e-8 <= sol.upper

@@ -570,6 +570,24 @@ class TestDetectionBoundary:
         p_star = _power_uni(n, lam, rec["rho_star"], 250, 31)
         assert abs(p_star - 0.5) <= 0.15
 
+    def test_power_estimate_count(self, monkeypatch):
+        # one estimate at the bracket's upper end, one per fourfold
+        # expansion of it, and one per bisection step (12)
+        power_uni = simulate._power_uni
+        for lam, expansions in ((2.0, 0), (20.0, 1), (200.0, 3)):
+            rhos = []
+
+            def counting(n, lam, rho, reps, seed):
+                rhos.append(rho)
+                return power_uni(n, lam, rho, reps, seed)
+
+            monkeypatch.setattr(simulate, "_power_uni", counting)
+            rec = detection_boundary_uni(64, lam, reps=40, seed=3)
+            base = loglog8n(64)
+            assert rhos[:expansions + 1] == [4.0 ** (k + 1) * base for k in range(expansions + 1)]
+            assert len(rhos) == 13 + expansions
+            assert rec["target"] == 0.5
+
     def test_deterministic(self):
         rec1 = detection_boundary_uni(64, 20.0, reps=100, seed=7)
         rec2 = detection_boundary_uni(64, 20.0, reps=100, seed=7)

@@ -167,7 +167,6 @@ class TestOracles:
         assert best <= enumerated + 1e-10
 
     def test_operator_norm_examples_and_power_iteration(self, rng):
-        assert covshift.sparse_eig.operator_norm is covshift.core.operator_norm
         assert operator_norm(np.eye(5)) == 1.0
         assert operator_norm(np.diag([3.0, -5.0, 1.0])) == 5.0
         for _ in range(10):

@@ -53,6 +53,11 @@ class TestScan:
     def test_lambda_inf_never_rejects(self, rng):
         x = rng.standard_normal(128)
         assert not variance_test(x, math.inf).reject
+        # a zero-variance side makes the statistic infinite, which does not
+        # pass an infinite threshold either
+        report = variance_test([0.0, 1.0, 1.0, 1.0], math.inf)
+        assert report.cells[0].stat == math.inf
+        assert not report.reject
 
     def test_big_shift_rejects(self):
         x = np.r_[np.full(8, 1e-3), np.full(8, 1e3)]
