@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``test-uni``, ``test-cov``, ``calibrate``, ``simulate``,
-``boundary``. Input is CSV (rows = time points, columns = dimensions, one
-optional header row auto-detected by a non-numeric first row, no missing
-values). Output is a JSON report with floats at 17 significant digits, so
-identical configuration, input, and seed produce byte-identical files.
+``boundary``. Input is UTF-8 CSV (rows = time points, columns = dimensions,
+one optional header row auto-detected by a non-numeric first row, no missing
+values; a leading byte-order mark is dropped). Output is a UTF-8 JSON report
+with floats at 17 significant digits, so identical configuration, input, and
+seed produce byte-identical files.
 
 Exit codes: 0 success, 1 runtime failure (structured error record written),
 2 parse or configuration failure.
@@ -87,14 +88,14 @@ def write_report(payload: dict, path: str | None):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
 def read_csv_series(path: str) -> np.ndarray:
     """Parse a CSV data panel; raises ConfigError with line/column info."""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         width = None
         for lineno, row in enumerate(reader, start=1):

@@ -167,37 +167,26 @@ def scan_rate_relaxed(p, n, s, t) -> float:
     return s * _rate_shape(minimax_rate(p, n, 1), t)
 
 
-def _check_window(t, n):
-    t = _check_count(t, "t", minimum=1)
-    if t > n // 2:
-        raise InvalidInputError(f"window t={t} must satisfy 1 <= t <= floor(n/2)={n // 2}")
-    return t
-
-
 class CovarianceScan:
-    """Prefix and suffix second-moment matrices over an increasing window grid.
+    """Prefix and suffix second-moment matrices over the dyadic window grid.
 
     ``prefix(t)`` is ``(1/t) * sum_{i<=t} X_i X_i^T`` over the first ``t``
     rows and ``suffix(t)`` the same over the last ``t``; both are symmetric
     positive semidefinite. The unnormalized sums are accumulated
-    incrementally across the grid, so evaluating every window in
-    ``dyadic_grid(n)`` costs ``O(n * p**2)`` in total rather than
-    ``O(n * p**2)`` per window. A one-window grid ``[w]`` gives the matrices
-    of that single window.
+    incrementally across ``dyadic_grid(n)``, so evaluating every window costs
+    ``O(n * p**2)`` in total rather than ``O(n * p**2)`` per window.
     """
 
-    def __init__(self, X, grid=None):
+    def __init__(self, X):
         X = as_series(X)
         n, p = X.shape
-        if grid is None:
-            grid = dyadic_grid(n)
-        grid = sorted({_check_window(t, n) for t in grid})
+        self.grid = dyadic_grid(n)
         self._prefix = {}
         self._suffix = {}
         acc_pre = np.zeros((p, p))
         acc_suf = np.zeros_like(acc_pre)
         prev = 0
-        for t in grid:
+        for t in self.grid:
             pre_block = X[prev:t]
             suf_block = X[n - t:n - prev]
             acc_pre = acc_pre + pre_block.T @ pre_block
@@ -206,7 +195,6 @@ class CovarianceScan:
             self._prefix[t] = (M_pre + M_pre.T) / 2.0
             self._suffix[t] = (M_suf + M_suf.T) / 2.0
             prev = t
-        self.grid = grid
 
     def _window(self, table, t):
         if t not in table:

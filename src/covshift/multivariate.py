@@ -136,8 +136,8 @@ def _outer_windows(X, w, label):
             f"noise window {label}={w} does not fit twice in n={n}; "
             f"the estimator needs n >= {2 * w} samples"
         )
-    window = CovarianceScan(X, [w])
-    return window.prefix(w), window.suffix(w)
+    head, tail = X[:w], X[n - w:]
+    return head.T @ head / w, tail.T @ tail / w
 
 
 def sparse_noise_level(X, s, budget: int = DEFAULT_BUDGET) -> float:
@@ -286,7 +286,7 @@ def covariance_test(
     if center:
         X = center_columns(X)
     report = _scan("oracle", X, lam, {s: sigma_sq}, _exact_stat(budget), scan_rate)
-    report.cells  # the exact tests solve every cell at call time (ROADMAP item 2)
+    report.cells  # the exact tests solve every cell at call time (ROADMAP item 3)
     return report
 
 
@@ -313,7 +313,7 @@ def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) ->
         except NoiseWindowError:
             noise[s] = "noise window does not fit"
     report = _scan("adaptive", X, lam, noise, _exact_stat(budget), scan_rate)
-    report.cells  # the exact tests solve every cell at call time (ROADMAP item 2)
+    report.cells  # the exact tests solve every cell at call time (ROADMAP item 3)
     return report
 
 

@@ -80,9 +80,14 @@ def run_test(family, X, lam, s=None, sigma_sq=1.0, budget: int = DEFAULT_BUDGET,
 
 
 def _rng(entropy) -> np.random.Generator:
-    if isinstance(entropy, (int, np.integer)):
-        entropy = [int(entropy)]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(entropy))))
+    try:
+        words = [int(entropy)] if isinstance(entropy, (int, np.integer)) else list(entropy)
+        seq = np.random.SeedSequence(words)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(
+            f"seed must be a nonnegative integer or a sequence of them, got {entropy!r} ({exc})"
+        ) from exc
+    return np.random.Generator(np.random.Philox(seq))
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,7 @@ def variance_shrinkage(delta, rho, sigma_sq) -> float:
     branch) and ``sigma_sq * sqrt(rho) / (sqrt(delta) + sqrt(rho))``
     otherwise (quadratic branch); always in ``(0, sigma_sq)``.
     """
-    if not (isinstance(delta, (int, np.integer)) and delta >= 1):
-        raise InvalidInputError(f"delta must be an integer >= 1, got {delta!r}")
+    _check_count(delta, "delta")
     _check_positive(rho, "rho")
     _check_positive(sigma_sq, "sigma_sq")
     if delta <= rho:
@@ -159,8 +163,8 @@ def sample_alternative(spec: PriorSpec, seed, delta=None) -> AltDraw:
     """
     rng = _rng(seed)
     if delta is None:
-        lmax = (spec.n // 2).bit_length() - 1
-        delta = 1 << int(rng.integers(0, lmax + 1))
+        grid = dyadic_grid(spec.n)
+        delta = grid[rng.integers(0, len(grid))]
     else:
         delta = _check_count(delta, "delta")
         if delta > spec.n - 1:
@@ -181,7 +185,10 @@ def sample_alternative(spec: PriorSpec, seed, delta=None) -> AltDraw:
 
 def sample_series(draw: AltDraw, n, p, seed) -> np.ndarray:
     """Generate ``n`` rows: the first ``delta`` i.i.d. N(0, Sigma1), the
-    rest i.i.d. N(0, Sigma2). Bit-identical for a fixed seed."""
+    rest i.i.d. N(0, Sigma2), each a standard normal row times the
+    transposed Cholesky factor of its covariance. Bit-identical for a fixed
+    seed."""
+    n, p = _check_count(n, "n"), _check_count(p, "p")
     if draw.Sigma1.shape != (p, p):
         raise InvalidInputError(
             f"draw has dimension {draw.Sigma1.shape[0]}, expected p={p}"
@@ -192,14 +199,6 @@ def sample_series(draw: AltDraw, n, p, seed) -> np.ndarray:
     Z = rng.standard_normal((n, p))
     d = draw.delta
     X = np.empty_like(Z)
-    if draw.u is not None and p > 64:
-        # Closed rank-one transform for Sigma1 = sig*I - kappa*u u^T; avoids
-        # the p^3 Cholesky at large p without changing the distribution.
-        sig = math.sqrt(draw.sigma_sq)
-        shrink = math.sqrt(draw.sigma_sq - draw.kappa) - sig
-        X[:d] = sig * Z[:d] + shrink * np.outer(Z[:d] @ draw.u, draw.u)
-        X[d:] = sig * Z[d:]
-        return X
     L1 = np.linalg.cholesky(draw.Sigma1)
     L2 = np.linalg.cholesky(draw.Sigma2)
     X[:d] = Z[:d] @ L1.T
@@ -210,7 +209,7 @@ def sample_series(draw: AltDraw, n, p, seed) -> np.ndarray:
 def null_series(n, p, sigma_sq, seed) -> np.ndarray:
     """``n`` i.i.d. rows of N(0, sigma_sq * I_p)."""
     shape = (_check_count(n, "n"), _check_count(p, "p"))
-    return math.sqrt(sigma_sq) * _rng(seed).standard_normal(shape)
+    return math.sqrt(_check_positive(sigma_sq, "sigma_sq")) * _rng(seed).standard_normal(shape)
 
 
 @dataclass(frozen=True)
@@ -504,7 +503,7 @@ def detection_boundary_uni(n, lam, reps: int = 400, seed=0) -> dict:
         p_hi = _power_uni(n, lam, hi, reps, seed)
         expansions += 1
     if p_hi < _TARGET_POWER:
-        raise RuntimeError(
+        raise InvalidInputError(
             f"power never reached {_TARGET_POWER} up to rho={hi}; lambda may be too large"
         )
     for _ in range(_BISECT_STEPS):

@@ -1,12 +1,16 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from covshift import cli
 from covshift.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 
 
 def run_cli(args):
@@ -56,6 +60,24 @@ class TestUniCommand:
         out = capsys.readouterr().out
         assert "\\t" in out and "\t" not in out
         assert json.loads(out)["config"]["input"] == data
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, monkeypatch, capsys):
+        # The golden uni.csv without its header line, once plain and once
+        # behind a UTF-8 byte-order mark, both as uni.csv in their own
+        # directory: the mark must not make the first data row a header.
+        with open(os.path.join(GOLDEN, "uni.csv"), encoding="utf-8") as fh:
+            rows = fh.read().split("\n", 1)[1]
+        outs = []
+        for name, text in (("plain", rows), ("bom", "\ufeff" + rows)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "uni.csv").write_text(text, encoding="utf-8")
+            monkeypatch.chdir(tmp_path / name)
+            assert run_cli(["test-uni", "--input", "uni.csv", "--lambda", "2.5"]) == 0
+            outs.append(capsys.readouterr().out)
+        with open(os.path.join(GOLDEN, "test-uni.json"), encoding="utf-8") as fh:
+            golden = fh.read()
+        assert outs == [golden, golden]
+        assert json.loads(outs[1])["result"]["n"] == 64
 
     def test_multicolumn_rejected(self, tmp_path, capsys):
         data = write(tmp_path, "x.csv", "1,2\n3,4\n5,6\n")
@@ -165,6 +187,12 @@ class TestSimulationCommands:
         assert res["points"][0]["rho_star"] > 0
         assert res["ratio_max_over_min"] == pytest.approx(1.0)
 
+    def test_boundary_power_never_reached_is_input_error(self, monkeypatch, capsys):
+        # a threshold too large for any signal in the bracket is a bad input
+        monkeypatch.setattr(cli, "calibrate_lambda", lambda *a, **k: 1e9)
+        assert run_cli(["boundary", "--n-grid", "64", "--reps", "10"]) == 2
+        assert "power never reached 0.5" in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
@@ -176,3 +204,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["reject"] is True
+
+    def test_files_opened_with_explicit_encoding(self, tmp_path):
+        # EncodingWarning: an open() that falls back to the locale's encoding
+        data = write(tmp_path, "x.csv", "1\n1\n2\n2\n")
+        out = str(tmp_path / "r.json")
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "covshift.cli", "test-uni", "--input", data, "--lambda", "0.1",
+             "--output", out],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh)["result"]["reject"] is True

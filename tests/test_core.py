@@ -147,16 +147,22 @@ class TestRates:
 
 
 def window(X, t):
-    """Prefix and suffix second moments of one window, from a one-window scan."""
-    scan = CovarianceScan(X, [t])
+    """Prefix and suffix second moments of window ``t`` of the dyadic scan."""
+    scan = CovarianceScan(X)
     return scan.prefix(t), scan.suffix(t)
+
+
+def direct_window(X, t):
+    """``head.T @ head / t`` and ``tail.T @ tail / t`` of the outer ``t`` rows."""
+    head, tail = X[:t], X[len(X) - t:]
+    return head.T @ head / t, tail.T @ tail / t
 
 
 class TestMoments:
     def test_unit_direction_rows(self):
         X = np.zeros((10, 3))
         X[:, 0] = 1.0
-        for t in (1, 2, 5):
+        for t in (1, 2, 4):
             expect = np.zeros((3, 3))
             expect[0, 0] = 1.0
             pre, suf = window(X, t)
@@ -171,20 +177,32 @@ class TestMoments:
 
     def test_scalar_case_is_mean_square(self, rng):
         x = rng.standard_normal(20)
-        for t in (1, 3, 10):
+        for t in (1, 4, 8):
             pre, suf = window(x, t)
             assert pre[0, 0] == pytest.approx(np.mean(x[:t] ** 2))
             assert suf[0, 0] == pytest.approx(np.mean(x[-t:] ** 2))
 
     def test_one_window_equals_numpy_formula(self, rng):
+        # Window t adds the rows that the window before it lacks, so each
+        # matrix is the running sum of the dyadic blocks' products over t;
+        # the first window, t = 1, is the direct formula itself.
         for _ in range(50):
             n = int(rng.integers(2, 60))
             X = rng.standard_normal((n, int(rng.integers(1, 9))))
-            t = int(rng.integers(1, n // 2 + 1))
-            head, tail = X[:t], X[n - t:]
-            pre, suf = window(X, t)
-            assert np.array_equal(pre, head.T @ head / t)
-            assert np.array_equal(suf, tail.T @ tail / t)
+            scan = CovarianceScan(X)
+            acc_pre = acc_suf = np.zeros((X.shape[1],) * 2)
+            prev = 0
+            for t in dyadic_grid(n):
+                head, tail = X[prev:t], X[n - t:n - prev]
+                acc_pre = acc_pre + head.T @ head
+                acc_suf = acc_suf + tail.T @ tail
+                prev = t
+                pre, suf = acc_pre / t, acc_suf / t
+                assert np.array_equal(scan.prefix(t), (pre + pre.T) / 2.0)
+                assert np.array_equal(scan.suffix(t), (suf + suf.T) / 2.0)
+            pre, suf = direct_window(X, 1)
+            assert np.array_equal(scan.prefix(1), pre)
+            assert np.array_equal(scan.suffix(1), suf)
 
     def test_psd_invariant(self, rng):
         for _ in range(50):
@@ -198,11 +216,11 @@ class TestMoments:
                 assert w[0] >= -1e-10 * max(np.trace(M), 1e-300)
 
     def test_window_bounds(self, rng):
-        X = rng.standard_normal((9, 2))
-        with pytest.raises(InvalidInputError):
-            CovarianceScan(X, [5])  # floor(9/2) = 4
-        with pytest.raises(InvalidInputError):
-            CovarianceScan(X, [0])
+        scan = CovarianceScan(rng.standard_normal((9, 2)))
+        assert scan.grid == dyadic_grid(9) == [1, 2, 4]  # floor(9/2) = 4
+        for t in (0, 5, 8):
+            with pytest.raises(InvalidInputError, match="grid"):
+                scan.prefix(t)
 
     def test_off_grid_window_raises(self, rng):
         scan = CovarianceScan(rng.standard_normal((37, 3)))
@@ -216,7 +234,7 @@ class TestMoments:
         X = rng.standard_normal((37, 3))
         scan = CovarianceScan(X)
         for t in scan.grid:
-            pre, suf = window(X, t)
+            pre, suf = direct_window(X, t)
             np.testing.assert_allclose(scan.prefix(t), pre, atol=1e-12)
             np.testing.assert_allclose(scan.suffix(t), suf, atol=1e-12)
             np.testing.assert_allclose(scan.difference(t), pre - suf, atol=1e-12)

@@ -88,13 +88,28 @@ class TestNoiseEstimates:
         half = rng.standard_normal((32, 3))
         X = np.vstack([half, half[::-1]])
         w = math.ceil(minimax_rate(3, 64, 2))
-        window = CovarianceScan(X, [w])
-        pre, suf = window.prefix(w), window.suffix(w)
+        pre, suf = X[:w].T @ X[:w] / w, X[-w:].T @ X[-w:] / w
         np.testing.assert_allclose(pre, suf, atol=1e-12)
         # the min over two identical windows is either window's value
         assert sparse_noise_level(X, 2) == pytest.approx(
             sparse_abs_eigmax(pre, 2).value, rel=1e-12
         )
+
+    def test_noise_levels_equal_the_direct_window_formula(self, rng):
+        for _ in range(30):
+            n, p = int(rng.integers(16, 200)), int(rng.integers(1, 9))
+            X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10)
+
+            def windows(w):
+                return X[:w].T @ X[:w] / w, X[n - w:].T @ X[n - w:] / w
+
+            for s in sparsity_grid(p):
+                w = math.ceil(minimax_rate(p, n, s))
+                if w <= n // 2:
+                    assert sparse_noise_level(X, s) == min(
+                        sparse_abs_eigmax(M, s).value for M in windows(w))
+            w = math.ceil(math.log(math.e * p))
+            assert entrywise_noise_level(X) == min(float(np.abs(M).max()) for M in windows(w))
 
     def test_scaling_is_quadratic(self, rng):
         X = rng.standard_normal((128, 5))
@@ -177,6 +192,19 @@ class TestAdaptiveScan:
         assert len(report.cells) + len(report.skipped) == len(expect)
         skipped_s = {s for _, s, _ in report.skipped}
         assert skipped_s == {4, 8}  # noise windows don't fit in n=12
+
+    def test_rate_exceeding_n_is_skipped(self, rng):
+        # (8, 16): minimax_rate is 3.77 at s = 1, 6.16 at s = 2 (7-row noise
+        # windows do not fit twice in 8 rows) and above 8 from s = 4 on.
+        report = adaptive_test(rng.standard_normal((8, 16)), 2.0)
+        reasons = {}
+        for t, s, reason in report.skipped:
+            reasons.setdefault(s, set()).add(reason)
+        assert reasons == {2: {"noise window does not fit"}, 4: {"rate exceeds n"},
+                           8: {"rate exceeds n"}, 16: {"rate exceeds n"}}
+        seen = sorted([(c.t, c.s) for c in report.cells] + [(t, s) for t, s, _ in report.skipped])
+        assert seen == [(t, s) for t in dyadic_grid(8) for s in sparsity_grid(16)]
+        assert {c.s for c in report.cells} == {1}
 
     def test_all_cells_skipped_is_undecidable(self, rng):
         X = rng.standard_normal((6, 8))

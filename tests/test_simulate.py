@@ -118,6 +118,18 @@ class TestPriorDraws:
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 < CHI2_CRIT_DF7  # goodness of fit, p > 0.001 with df=7
 
+    def test_gap_equals_the_bit_length_rule(self):
+        # Reference: 2**l with l drawn by the same generator call from
+        # range((n // 2).bit_length()), written without dyadic_grid.
+        for n in (2, 3, 4, 5, 7, 8, 63, 64, 65, 1000, 4096):
+            for kind, p, s in (("uni", 1, 1), ("multi", 5, 2)):
+                spec = PriorSpec(kind, n=n, p=p, sigma_sq=1.0, rho=2.0, s=s)
+                for r in range(60):
+                    lmax = (n // 2).bit_length() - 1
+                    want = 1 << int(simulate._rng([6, r]).integers(0, lmax + 1))
+                    delta = sample_alternative(spec, [6, r]).delta
+                    assert delta == want and type(delta) is int
+
     def test_fixed_delta_override(self):
         spec = PriorSpec("uni", n=64, p=1, sigma_sq=1.0, rho=2.0)
         d = sample_alternative(spec, 0, delta=17)
@@ -164,12 +176,46 @@ class TestSampleSeries:
             null_series(16, 2.0, 1.0, 0)
 
     def test_rank_one_path_matches_target_covariance(self):
-        # p > 64 takes the closed rank-one transform instead of Cholesky
+        # the rank-one spike's law at p > 64, sampled through Sigma1 as at
+        # every p
         spec = PriorSpec("multi", n=40_001, p=70, s=5, sigma_sq=2.0, rho=4.0)
         draw = sample_alternative(spec, 13, delta=40_000)
         X = sample_series(draw, 40_001, 70, 14)
         emp = X[:40_000].T @ X[:40_000] / 40_000
         assert np.abs(emp - draw.Sigma1).max() <= 0.1
+
+    def test_rows_are_cholesky_factors_at_every_p(self):
+        for p, s in ((1, 1), (5, 2), (64, 8), (65, 4), (65, 65)):
+            kind = "uni" if p == 1 else "multi"
+            spec = PriorSpec(kind, n=40, p=p, s=s, sigma_sq=1.5, rho=6.0)
+            draw = sample_alternative(spec, [8, p])
+            X = sample_series(draw, 40, p, [8, p, 1])
+            Z = simulate._rng([8, p, 1]).standard_normal((40, p))
+            d = draw.delta
+            assert X[:d].tobytes() == (Z[:d] @ np.linalg.cholesky(draw.Sigma1).T).tobytes()
+            assert X[d:].tobytes() == (Z[d:] @ np.linalg.cholesky(draw.Sigma2).T).tobytes()
+
+    def test_sizes_must_be_integers(self):
+        draw = sample_alternative(PriorSpec("multi", n=16, p=3, sigma_sq=1.0, rho=2.0), 0)
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            sample_series(draw, 16.0, 3, 0)
+        with pytest.raises(InvalidInputError, match="p must be an integer"):
+            sample_series(draw, 16, 3.0, 0)
+
+    def test_null_series_rejects_nonpositive_variance(self):
+        for sigma_sq in (-1.0, 0.0, math.nan):
+            with pytest.raises(InvalidInputError, match="sigma_sq must be positive"):
+                null_series(16, 1, sigma_sq, 0)
+
+    def test_negative_seed_rejected(self):
+        for seed in (-3, [1, -3], [np.int64(-1)], [1, 2.5], 2.5, ["a"]):
+            with pytest.raises(InvalidInputError, match="seed must be a nonnegative integer"):
+                null_series(16, 1, 1.0, seed)
+        with pytest.raises(InvalidInputError, match=r"got \[-1, 0, 4\] \(expected non-negative"):
+            calibrate_lambda("uni", 64, reps=50, seed=-1)
+        # a sequence seed may nest, as monte_carlo_errors' [seed, r, stream] does
+        spec = PriorSpec("uni", n=16, p=1, sigma_sq=1.0, rho=2.0)
+        assert monte_carlo_errors(lambda X: False, spec, 3, [3, 9]).reps == 3
 
     def test_vanishing_shrinkage_merges_the_laws(self):
         spec = PriorSpec("uni", n=32, p=1, sigma_sq=1.0, rho=1e-12)
@@ -587,6 +633,10 @@ class TestDetectionBoundary:
             assert rhos[:expansions + 1] == [4.0 ** (k + 1) * base for k in range(expansions + 1)]
             assert len(rhos) == 13 + expansions
             assert rec["target"] == 0.5
+
+    def test_power_never_reached_is_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="power never reached 0.5"):
+            detection_boundary_uni(64, 1e9, reps=10)
 
     def test_deterministic(self):
         rec1 = detection_boundary_uni(64, 20.0, reps=100, seed=7)
