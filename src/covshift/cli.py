@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .core import center_columns
 from .exceptions import InvalidInputError
 # Not called here: the commands run every test through simulate.run_test.
 # covbench/tracing.py wraps these names on this module, so they stay importable.
@@ -197,21 +198,26 @@ def _config_dict(args) -> dict:
     return cfg
 
 
-def _run_test_uni(args):
+def _read_panel(args):
+    """The ``--input`` panel, with its column means subtracted under
+    ``--center``: the tests take their data as given."""
     X = read_csv_series(args.input)
-    return run_test("uni", X, args.lam, center=args.center).to_dict()
+    return center_columns(X) if args.center else X
+
+
+def _run_test_uni(args):
+    return run_test("uni", _read_panel(args), args.lam).to_dict()
 
 
 def _run_test_cov(args):
-    X = read_csv_series(args.input)
+    X = _read_panel(args)
     if args.variant == "oracle":
         if args.s is None or args.sigma_sq is None:
             raise ConfigError("variant 'oracle' requires --s and --sigma-sq")
     elif args.s is not None or args.sigma_sq is not None:
         raise ConfigError(f"variant {args.variant!r} forbids --s and --sigma-sq")
     report = run_test(args.variant.replace("-", "_"), X, args.lam, s=args.s,
-                      sigma_sq=args.sigma_sq, budget=args.budget, tol=args.tol,
-                      center=args.center)
+                      sigma_sq=args.sigma_sq, budget=args.budget, tol=args.tol)
     return report.to_dict()
 
 
@@ -227,8 +233,7 @@ def _run_calibrate(args):
 def _run_simulate(args):
     family = args.family.replace("-", "_")
     kind = "uni" if family == "uni" else "multi"
-    p = 1 if kind == "uni" else args.p
-    spec = PriorSpec(kind=kind, n=args.n, p=p, sigma_sq=args.sigma_sq,
+    spec = PriorSpec(kind=kind, n=args.n, p=args.p, sigma_sq=args.sigma_sq,
                      rho=args.rho, s=args.s)
 
     def test(X):

@@ -91,7 +91,12 @@ def sym_matrix(A) -> np.ndarray:
 
 
 def center_columns(X) -> np.ndarray:
-    """Subtract the global column mean from every row."""
+    """Subtract the global column mean from every row.
+
+    The tests take their data as given and assume it mean-zero, so a panel
+    with a nonzero mean goes through this function first (the command line
+    does so under ``--center``).
+    """
     X = as_series(X)
     return X - X.mean(axis=0)
 

@@ -29,7 +29,6 @@ from .core import (
     _check_count,
     _check_positive,
     as_series,
-    center_columns,
     scan_rate,
     scan_rate_relaxed,
     sparsity_grid,
@@ -271,9 +270,7 @@ def _exact_stat(budget):
     return lambda diff, s: (sparse_abs_eigmax(diff, s, budget=budget).value, True)
 
 
-def covariance_test(
-    X, lam, s, sigma_sq, budget: int = DEFAULT_BUDGET, center: bool = False
-) -> MultiTestReport:
+def covariance_test(X, lam, s, sigma_sq, budget: int = DEFAULT_BUDGET) -> MultiTestReport:
     """Covariance changepoint scan with known sparsity and noise level.
 
     A window triggers when the s-sparse eigenvalue of the covariance
@@ -283,14 +280,12 @@ def covariance_test(
     lam = _check_positive(lam, "lambda")
     sigma_sq = _check_positive(sigma_sq, "sigma_sq")
     s = _check_count(s, "s")
-    if center:
-        X = center_columns(X)
     report = _scan("oracle", X, lam, {s: sigma_sq}, _exact_stat(budget), scan_rate)
     report.cells  # the exact tests solve every cell at call time (ROADMAP item 3)
     return report
 
 
-def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) -> MultiTestReport:
+def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET) -> MultiTestReport:
     """Noise- and sparsity-adaptive covariance changepoint scan.
 
     Scans sparsities from the dyadic sparsity grid whose rate fits the
@@ -300,8 +295,6 @@ def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) ->
     """
     X = as_series(X)
     lam = _check_positive(lam, "lambda")
-    if center:
-        X = center_columns(X)
     n, p = X.shape
     noise = {}
     for s in sparsity_grid(p):
@@ -317,7 +310,7 @@ def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET, center: bool = False) ->
     return report
 
 
-def adaptive_sdp_test(X, lam, tol: float = 1e-3, center: bool = False) -> MultiTestReport:
+def adaptive_sdp_test(X, lam, tol: float = 1e-3) -> MultiTestReport:
     """Polynomial-time variant of the adaptive scan.
 
     Each cell statistic is the certified lower endpoint of the SDP
@@ -328,8 +321,6 @@ def adaptive_sdp_test(X, lam, tol: float = 1e-3, center: bool = False) -> MultiT
     """
     X = as_series(X)
     lam = _check_positive(lam, "lambda")
-    if center:
-        X = center_columns(X)
     try:
         noise = entrywise_noise_level(X)
     except NoiseWindowError as exc:

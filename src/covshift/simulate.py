@@ -51,13 +51,11 @@ _S_NULL, _S_PRIOR, _S_DATA, _S_CAL = 1, 2, 3, 4
 # module's globals at call time, not bound here, so a wrapper placed on
 # ``covshift.simulate.<test>`` sees every call made through the table.
 _FAMILY_TESTS = {
-    "uni": lambda X, lam, center, **_: variance_test(X, lam, center=center),
-    "oracle": lambda X, lam, s, sigma_sq, budget, center, **_:
-        covariance_test(X, lam, s, sigma_sq, budget=budget, center=center),
-    "adaptive": lambda X, lam, budget, center, **_:
-        adaptive_test(X, lam, budget=budget, center=center),
-    "adaptive_sdp": lambda X, lam, tol, center, **_:
-        adaptive_sdp_test(X, lam, tol=tol, center=center),
+    "uni": lambda X, lam, **_: variance_test(X, lam),
+    "oracle": lambda X, lam, s, sigma_sq, budget, **_:
+        covariance_test(X, lam, s, sigma_sq, budget=budget),
+    "adaptive": lambda X, lam, budget, **_: adaptive_test(X, lam, budget=budget),
+    "adaptive_sdp": lambda X, lam, tol, **_: adaptive_sdp_test(X, lam, tol=tol),
 }
 FAMILIES = tuple(_FAMILY_TESTS)
 
@@ -68,15 +66,14 @@ def _check_family(family):
 
 
 def run_test(family, X, lam, s=None, sigma_sq=1.0, budget: int = DEFAULT_BUDGET,
-             tol: float = 1e-3, center: bool = False):
+             tol: float = 1e-3):
     """Report of the ``family`` test (one of ``FAMILIES``) on ``X`` at
     threshold multiplier ``lam``. ``s`` and ``sigma_sq`` are the oracle's
     known sparsity and noise level, ``budget`` bounds the exact scans'
     sparse-eigenvalue search and ``tol`` the relaxation solver's gap; a
     family ignores the arguments it has no use for."""
     _check_family(family)
-    return _FAMILY_TESTS[family](X, lam, s=s, sigma_sq=sigma_sq, budget=budget, tol=tol,
-                                 center=center)
+    return _FAMILY_TESTS[family](X, lam, s=s, sigma_sq=sigma_sq, budget=budget, tol=tol)
 
 
 def _rng(entropy) -> np.random.Generator:
@@ -124,16 +121,15 @@ class AltDraw:
 
     The changepoint sits at ``delta`` (pre-change rows ``1..delta``), with
     pre-change covariance ``Sigma1 = sigma_sq*I - kappa*u u^T`` and
-    post-change covariance ``Sigma2 = sigma_sq*I``. For univariate draws
+    post-change covariance ``Sigma2 = sigma_sq*I``, where ``kappa`` is
+    ``variance_shrinkage(delta, rho, sigma_sq)``. For univariate draws
     ``u`` is ``None`` and the covariances are 1x1.
     """
 
     delta: int
-    kappa: float
     u: np.ndarray | None
     Sigma1: np.ndarray
     Sigma2: np.ndarray
-    sigma_sq: float
 
 
 def variance_shrinkage(delta, rho, sigma_sq) -> float:
@@ -173,14 +169,14 @@ def sample_alternative(spec: PriorSpec, seed, delta=None) -> AltDraw:
     if spec.kind == "uni":
         Sigma1 = np.array([[spec.sigma_sq - kap]])
         Sigma2 = np.array([[spec.sigma_sq]])
-        return AltDraw(delta, kap, None, Sigma1, Sigma2, spec.sigma_sq)
+        return AltDraw(delta, None, Sigma1, Sigma2)
     support = np.sort(rng.choice(spec.p, size=spec.s, replace=False))
     signs = rng.integers(0, 2, size=spec.s) * 2 - 1
     u = np.zeros(spec.p)
     u[support] = signs / math.sqrt(spec.s)
     Sigma2 = spec.sigma_sq * np.eye(spec.p)
     Sigma1 = Sigma2 - kap * np.outer(u, u)
-    return AltDraw(delta, kap, u, Sigma1, Sigma2, spec.sigma_sq)
+    return AltDraw(delta, u, Sigma1, Sigma2)
 
 
 def sample_series(draw: AltDraw, n, p, seed) -> np.ndarray:
@@ -361,6 +357,8 @@ class SimOutcome:
 
     Replicates whose test raised one of covshift's errors are tallied
     separately in ``failed_null`` / ``failed_alt`` and never silently dropped.
+    ``seed`` is the run's seed as given, a sequence seed as a tuple, so
+    passing it back reproduces the outcome.
     """
 
     type1: float
@@ -368,7 +366,7 @@ class SimOutcome:
     se1: float
     se2: float
     reps: int
-    seed: int
+    seed: int | tuple[int, ...]
     failed_null: int = 0
     failed_alt: int = 0
 
@@ -419,7 +417,7 @@ def monte_carlo_errors(test, spec: PriorSpec, reps, seed) -> SimOutcome:
         se1=_binom_se(type1, reps),
         se2=_binom_se(type2, reps),
         reps=int(reps),
-        seed=seed if isinstance(seed, int) else int(np.asarray(seed).ravel()[0]),
+        seed=int(seed) if isinstance(seed, (int, np.integer)) else tuple(map(int, seed)),
         failed_null=failed_null,
         failed_alt=failed_alt,
     )
@@ -493,6 +491,7 @@ def detection_boundary_uni(n, lam, reps: int = 400, seed=0) -> dict:
     The ratio ``rho_star / loglog8n(n)`` is the quantity whose boundedness
     across ``n`` reflects the detection-boundary scaling.
     """
+    reps = _check_count(reps, "reps")
     base = loglog8n(n)
     lo, hi = 0.01 * base, 4.0 * base
     p_hi = _power_uni(n, lam, hi, reps, seed)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import _check_positive, _rate_shape, as_series, center_columns, dyadic_grid, loglog8n
+from .core import _check_positive, _rate_shape, as_series, dyadic_grid, loglog8n
 from .exceptions import InvalidInputError
 
 __all__ = [
@@ -70,7 +70,7 @@ class UniTestReport:
         }
 
 
-def variance_test(x, lam, center: bool = False) -> UniTestReport:
+def variance_test(x, lam) -> UniTestReport:
     """Scan the variance-ratio statistic over the dyadic grid.
 
     A window triggers when its statistic exceeds
@@ -84,14 +84,9 @@ def variance_test(x, lam, center: bool = False) -> UniTestReport:
     lam : float
         Positive threshold multiplier, typically from
         ``covshift.simulate.calibrate_lambda``.
-    center : bool
-        Subtract the global mean first (the model itself assumes
-        mean-zero data).
     """
     x = _as_univariate(x)
     lam = _check_positive(lam, "lambda")
-    if center:
-        x = center_columns(x)[:, 0]
     n = x.size
     # separate forward and backward sums: subtracting tail sums from the
     # total cancels catastrophically when a window is much smaller than

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from covshift import cli
+from covshift import center_columns, cli
 from covshift.cli import main
+from covshift.simulate import run_test
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 
@@ -78,6 +79,21 @@ class TestUniCommand:
             golden = fh.read()
         assert outs == [golden, golden]
         assert json.loads(outs[1])["result"]["n"] == 64
+
+    def test_center_equals_library_on_centred_panel(self, tmp_path, rng, capsys):
+        # --center subtracts the panel's mean before the test, which takes
+        # its data as given; a large common mean changes every statistic
+        x = rng.standard_normal(64) + 100.0
+        data = write(tmp_path, "x.csv", "".join(f"{float(v)!r}\n" for v in x))
+        reports = []
+        for flag in (["--center"], []):
+            assert run_cli(["test-uni", "--input", data, "--lambda", "3.0", *flag]) == 0
+            reports.append(json.loads(capsys.readouterr().out)["result"])
+        centred, raw = reports
+        assert centred == run_test("uni", center_columns(x), 3.0).to_dict()
+        assert raw == run_test("uni", x, 3.0).to_dict()
+        assert all(a["stat"] != pytest.approx(b["stat"])
+                   for a, b in zip(centred["cells"], raw["cells"]))
 
     def test_multicolumn_rejected(self, tmp_path, capsys):
         data = write(tmp_path, "x.csv", "1,2\n3,4\n5,6\n")
@@ -161,6 +177,12 @@ class TestSimulationCommands:
     def test_simulate_zero_reps(self):
         assert run_cli(["simulate", "--family", "uni", "--lambda", "5",
                         "--n", "32", "--rho", "2.0", "--reps", "0"]) == 2
+
+    def test_simulate_uni_requires_p_one(self, capsys):
+        # the uni prior is scalar; --p 8 is refused, not run at p = 1
+        assert run_cli(["simulate", "--family", "uni", "--lambda", "5", "--n", "32",
+                        "--p", "8", "--rho", "2.0", "--reps", "5"]) == 2
+        assert "kind='uni' requires p=1" in capsys.readouterr().err
 
     def test_calibrate_and_simulate_roundtrip(self, tmp_path):
         out = str(tmp_path / "cal.json")

@@ -292,9 +292,9 @@ class TestValidation:
             covariance_test(X, 1.0, 1, 0.0)
 
 
-def _max_scan(X, center=False):
+def _max_scan(X):
     """The largest standardized ratio that calibrates the SDP family."""
-    return adaptive_sdp_test(X, 1.0, center=center)._max_ratio()
+    return adaptive_sdp_test(X, 1.0)._max_ratio()
 
 
 def _panels():
@@ -320,10 +320,11 @@ class TestMaxMode:
 
     @pytest.mark.parametrize("center", [False, True])
     def test_equals_report_maximum(self, center):
-        for name, X in _panels().items():
-            report = adaptive_sdp_test(X, 1.0, center=center)
+        for name, panel in _panels().items():
+            X = center_columns(panel) if center else panel
+            report = adaptive_sdp_test(X, 1.0)
             want = max(c.stat / c.threshold for c in report.cells)
-            assert _max_scan(X, center) == want, name
+            assert _max_scan(X) == want, name
 
     def test_calibration_nulls_equal_report_maximum(self):
         for r in range(5):
@@ -399,11 +400,13 @@ def _eager_cells(family, s, X, lam, center):
 
 
 def _decide(family, s, X, lam, center):
+    if center:
+        X = center_columns(X)
     if family == "oracle":
-        return covariance_test(X, lam, s, 1.0, center=center)
+        return covariance_test(X, lam, s, 1.0)
     if family == "adaptive":
-        return adaptive_test(X, lam, center=center)
-    return adaptive_sdp_test(X, lam, center=center)
+        return adaptive_test(X, lam)
+    return adaptive_sdp_test(X, lam)
 
 
 # The oracle at s = 1, 2 and p (every panel of ``_panels()`` has p = 6).

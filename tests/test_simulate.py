@@ -97,15 +97,14 @@ class TestPriorDraws:
             nz = np.abs(d.u[d.u != 0])
             np.testing.assert_allclose(nz, 0.5)
             # rank-one deflation of the identity
+            kappa = variance_shrinkage(d.delta, spec.rho, spec.sigma_sq)
             w = np.sort(np.linalg.eigvalsh(d.Sigma1))
-            assert w[0] == pytest.approx(spec.sigma_sq - d.kappa, rel=1e-12)
+            assert w[0] == pytest.approx(spec.sigma_sq - kappa, rel=1e-12)
             np.testing.assert_allclose(w[1:], spec.sigma_sq, rtol=1e-12)
             # the drawn direction attains the operator-norm change
             change = float(d.u @ (d.Sigma2 - d.Sigma1) @ d.u)
-            assert change == pytest.approx(d.kappa, rel=1e-12)
-            assert operator_norm(d.Sigma1 - d.Sigma2) == pytest.approx(
-                d.kappa, rel=1e-12
-            )
+            assert change == pytest.approx(kappa, rel=1e-12)
+            assert operator_norm(d.Sigma1 - d.Sigma2) == pytest.approx(kappa, rel=1e-12)
 
     def test_gap_law_uniform_over_grid(self):
         spec = PriorSpec("uni", n=256, p=1, sigma_sq=1.0, rho=1.0)
@@ -525,6 +524,16 @@ class TestMonteCarloErrors:
         b = monte_carlo_errors(test, spec, 40, 9)
         assert a == b
 
+    def test_seed_recorded_as_given(self):
+        spec = PriorSpec("uni", n=64, p=1, sigma_sq=1.0, rho=4.0)
+        test = lambda X: variance_test(X[:, 0], 5.0).reject
+        recorded = {}
+        for seed in (9, np.int64(9), [3, 9], (3, 10), np.array([3, 9])):
+            out = monte_carlo_errors(test, spec, 40, seed)
+            assert monte_carlo_errors(test, spec, 40, out.seed) == out
+            recorded[out.seed] = type(out.seed)  # a record is hashable
+        assert recorded == {9: int, (3, 9): tuple, (3, 10): tuple}
+
     def test_fractional_reps_rejected(self):
         spec = PriorSpec("uni", n=16, p=1, sigma_sq=1.0, rho=1.0)
         with pytest.raises(InvalidInputError, match="reps must be an integer"):
@@ -633,6 +642,12 @@ class TestDetectionBoundary:
             assert rhos[:expansions + 1] == [4.0 ** (k + 1) * base for k in range(expansions + 1)]
             assert len(rhos) == 13 + expansions
             assert rec["target"] == 0.5
+
+    def test_bad_reps_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^reps must be >= 1, got 0$"):
+            detection_boundary_uni(64, 2.0, reps=0)
+        with pytest.raises(InvalidInputError, match="reps must be an integer"):
+            detection_boundary_uni(64, 2.0, reps=2.5)
 
     def test_power_never_reached_is_invalid_input(self):
         with pytest.raises(InvalidInputError, match="power never reached 0.5"):
