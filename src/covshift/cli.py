@@ -8,7 +8,7 @@ with floats at 17 significant digits, so identical configuration, input, and
 seed produce byte-identical files.
 
 Exit codes: 0 success, 1 runtime failure (structured error record written),
-2 parse or configuration failure.
+2 parse or configuration failure (an ``InvalidInputError`` or ``OSError``).
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ __all__ = ["main"]
 
 # Family names as the command line spells them (``adaptive-sdp``).
 _FAMILY_CHOICES = [f.replace("_", "-") for f in FAMILIES]
-
-
-class ConfigError(Exception):
-    pass
 
 
 def _format_value(x):
@@ -94,7 +90,7 @@ def write_report(payload: dict, path: str | None):
 
 
 def read_csv_series(path: str) -> np.ndarray:
-    """Parse a CSV data panel; raises ConfigError with line/column info."""
+    """Parse a CSV data panel; raises InvalidInputError with line/column info."""
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -107,7 +103,7 @@ def read_csv_series(path: str) -> np.ndarray:
             for col, cell in enumerate(row, start=1):
                 cell = cell.strip()
                 if cell == "":
-                    raise ConfigError(f"missing value at line {lineno}, column {col}")
+                    raise InvalidInputError(f"missing value at line {lineno}, column {col}")
                 try:
                     parsed.append(float(cell))
                 except ValueError:
@@ -116,18 +112,16 @@ def read_csv_series(path: str) -> np.ndarray:
             if bad_col is not None:
                 if lineno == 1:
                     continue
-                raise ConfigError(
+                raise InvalidInputError(
                     f"non-numeric value at line {lineno}, column {bad_col}"
                 )
             if width is None:
                 width = len(parsed)
             elif len(parsed) != width:
-                raise ConfigError(
+                raise InvalidInputError(
                     f"row at line {lineno} has {len(parsed)} columns, expected {width}"
                 )
             rows.append(parsed)
-    if len(rows) < 2:
-        raise ConfigError(f"need at least 2 data rows, found {len(rows)}")
     return np.asarray(rows, dtype=float)
 
 
@@ -213,9 +207,9 @@ def _run_test_cov(args):
     X = _read_panel(args)
     if args.variant == "oracle":
         if args.s is None or args.sigma_sq is None:
-            raise ConfigError("variant 'oracle' requires --s and --sigma-sq")
+            raise InvalidInputError("variant 'oracle' requires --s and --sigma-sq")
     elif args.s is not None or args.sigma_sq is not None:
-        raise ConfigError(f"variant {args.variant!r} forbids --s and --sigma-sq")
+        raise InvalidInputError(f"variant {args.variant!r} forbids --s and --sigma-sq")
     report = run_test(args.variant.replace("-", "_"), X, args.lam, s=args.s,
                       sigma_sq=args.sigma_sq, budget=args.budget, tol=args.tol)
     return report.to_dict()
@@ -251,9 +245,9 @@ def _run_boundary(args):
     try:
         n_grid = [int(tok) for tok in args.n_grid.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad --n-grid: {exc}") from exc
+        raise InvalidInputError(f"bad --n-grid: {exc}") from exc
     if not n_grid:
-        raise ConfigError("--n-grid is empty")
+        raise InvalidInputError("--n-grid is empty")
     points = []
     for n in n_grid:
         lam = calibrate_lambda("uni", n, delta=args.delta, reps=args.reps,
@@ -283,7 +277,7 @@ def main(argv=None) -> int:
     try:
         _validate_common(args)
         result = _RUNNERS[args.command](args)
-    except (ConfigError, InvalidInputError, OSError) as exc:
+    except (InvalidInputError, OSError) as exc:
         sys.stderr.write(f"covshift: {exc}\n")
         return 2
     except Exception as exc:
@@ -304,13 +298,13 @@ def main(argv=None) -> int:
 
 def _validate_common(args):
     if args.reps < 0 or (args.command in ("simulate", "boundary") and args.reps < 1):
-        raise ConfigError(f"--reps must be >= 1, got {args.reps}")
+        raise InvalidInputError(f"--reps must be >= 1, got {args.reps}")
     if not (0 < args.delta <= 1):
-        raise ConfigError(f"--delta must lie in (0, 1], got {args.delta}")
+        raise InvalidInputError(f"--delta must lie in (0, 1], got {args.delta}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+        raise InvalidInputError(f"--seed must be nonnegative, got {args.seed}")
     if args.tol <= 0:
-        raise ConfigError(f"--tol must be positive, got {args.tol}")
+        raise InvalidInputError(f"--tol must be positive, got {args.tol}")
 
 
 if __name__ == "__main__":

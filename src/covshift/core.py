@@ -10,6 +10,7 @@ not.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -47,9 +48,18 @@ def _check_sparsity(s, p):
     return s
 
 
-def _check_positive(value, name):
-    if not (value > 0):
-        raise InvalidInputError(f"{name} must be positive, got {value}")
+def _in_range(value, low, high) -> bool:
+    """``low < value <= high``, False for a value that is no number."""
+    try:
+        return bool(low < value <= high)
+    except TypeError:
+        return False
+
+
+def _check_positive(value, name, finite=False):
+    if not _in_range(value, 0, sys.float_info.max if finite else math.inf):
+        rule = "positive and finite" if finite else "positive"
+        raise InvalidInputError(f"{name} must be {rule}, got {value}")
     return float(value)
 
 

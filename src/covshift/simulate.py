@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (
-    _check_count, _check_positive, _check_sparsity, dyadic_grid, loglog8n, minimax_rate,
+    _check_count, _check_positive, _check_sparsity, _in_range, dyadic_grid, loglog8n, minimax_rate,
 )
 from .exceptions import CovshiftError, InvalidInputError, SignalDomainError
 from .multivariate import adaptive_sdp_test, adaptive_test, covariance_test
@@ -60,11 +60,6 @@ _FAMILY_TESTS = {
 FAMILIES = tuple(_FAMILY_TESTS)
 
 
-def _check_family(family):
-    if family not in _FAMILY_TESTS:
-        raise InvalidInputError(f"unknown test family {family!r}; choose from {FAMILIES}")
-
-
 def run_test(family, X, lam, s=None, sigma_sq=1.0, budget: int = DEFAULT_BUDGET,
              tol: float = 1e-3):
     """Report of the ``family`` test (one of ``FAMILIES``) on ``X`` at
@@ -72,7 +67,8 @@ def run_test(family, X, lam, s=None, sigma_sq=1.0, budget: int = DEFAULT_BUDGET,
     known sparsity and noise level, ``budget`` bounds the exact scans'
     sparse-eigenvalue search and ``tol`` the relaxation solver's gap; a
     family ignores the arguments it has no use for."""
-    _check_family(family)
+    if family not in FAMILIES:
+        raise InvalidInputError(f"unknown test family {family!r}; choose from {FAMILIES}")
     return _FAMILY_TESTS[family](X, lam, s=s, sigma_sq=sigma_sq, budget=budget, tol=tol)
 
 
@@ -111,8 +107,8 @@ class PriorSpec:
         if self.kind == "uni" and self.p != 1:
             raise InvalidInputError("kind='uni' requires p=1")
         _check_sparsity(self.s, self.p)
-        _check_positive(self.sigma_sq, "sigma_sq")
-        _check_positive(self.rho, "rho")
+        _check_positive(self.sigma_sq, "sigma_sq", finite=True)
+        _check_positive(self.rho, "rho", finite=True)
 
 
 @dataclass(frozen=True)
@@ -141,8 +137,8 @@ def variance_shrinkage(delta, rho, sigma_sq) -> float:
     otherwise (quadratic branch); always in ``(0, sigma_sq)``.
     """
     _check_count(delta, "delta")
-    _check_positive(rho, "rho")
-    _check_positive(sigma_sq, "sigma_sq")
+    _check_positive(rho, "rho", finite=True)
+    _check_positive(sigma_sq, "sigma_sq", finite=True)
     if delta <= rho:
         return sigma_sq * rho / (delta + rho)
     return sigma_sq * math.sqrt(rho) / (math.sqrt(delta) + math.sqrt(rho))
@@ -205,7 +201,8 @@ def sample_series(draw: AltDraw, n, p, seed) -> np.ndarray:
 def null_series(n, p, sigma_sq, seed) -> np.ndarray:
     """``n`` i.i.d. rows of N(0, sigma_sq * I_p)."""
     shape = (_check_count(n, "n"), _check_count(p, "p"))
-    return math.sqrt(_check_positive(sigma_sq, "sigma_sq")) * _rng(seed).standard_normal(shape)
+    scale = math.sqrt(_check_positive(sigma_sq, "sigma_sq", finite=True))
+    return scale * _rng(seed).standard_normal(shape)
 
 
 @dataclass(frozen=True)
@@ -443,21 +440,18 @@ def calibrate_lambda(
     minimum). The result is the threshold multiplier ``lam`` giving the
     corresponding test an approximate level of ``delta``. A covariance
     report finds its maximum without building its cells, so a scan solves
-    only the cells that can set it.
+    only the cells that can set it. The family's test checks ``family``,
+    ``p`` and ``s`` itself, on the first null replicate.
     """
-    _check_family(family)
-    if family == "uni" and p != 1:
-        raise InvalidInputError("family 'uni' requires p=1")
-    if family == "oracle" and s is None:
-        raise InvalidInputError("family 'oracle' requires the sparsity s")
-    if not (0 < delta <= 1):
+    reps = _check_count(reps, "reps")
+    if not _in_range(delta, 0, 1):
         raise InvalidInputError(f"delta must lie in (0, 1], got {delta}")
     if reps * delta < 5:
         raise InvalidInputError(
             f"reps*delta = {reps * delta} < 5: too few replicates to place "
             f"the 1-delta quantile"
         )
-    stats = np.empty(_check_count(reps, "reps"))
+    stats = np.empty(reps)
     for r in range(reps):
         X = null_series(n, p, 1.0, [seed, r, _S_CAL])
         stats[r] = run_test(family, X, 1.0, s=s, budget=budget, tol=tol)._max_ratio()

@@ -123,6 +123,48 @@ class TestCsvParsing:
                         "--lambda", "1.0"]) == 2
 
 
+_PANEL = "".join("1,2\n" for _ in range(16))
+_SIMULATE = ["simulate", "--family", "uni", "--lambda", "3", "--n", "64", "--reps", "3",
+             "--seed", "1"]
+
+
+class TestBadInput:
+    # Whether the CLI's own CSV and flag checks or a library call refuses
+    # the input, it is an InvalidInputError: exit 2, its message on stderr
+    # and no report.
+    @pytest.mark.parametrize("argv, text, message", [
+        pytest.param(["test-cov"], "1,2\n3,\n5,6\n", "missing value at line 2, column 2",
+                     id="missing-value"),
+        pytest.param(["test-cov"], "1,2\n3,4,5\n", "row at line 2 has 3 columns, expected 2",
+                     id="ragged-row"),
+        pytest.param(["test-cov"], "1,2\n3,4\nx,6\n", "non-numeric value at line 3, column 1",
+                     id="non-numeric"),
+        pytest.param(["test-uni"], "1\n", "series needs at least 2 rows, got 1", id="one-row"),
+        pytest.param(["test-uni"], "", "series needs at least 2 rows, got 0", id="empty"),
+        pytest.param(["test-cov", "--variant", "oracle"], _PANEL,
+                     "variant 'oracle' requires --s and --sigma-sq", id="oracle-without-s"),
+        pytest.param(["test-cov", "--s", "1"], _PANEL,
+                     "variant 'adaptive' forbids --s and --sigma-sq", id="adaptive-with-s"),
+        pytest.param(["boundary", "--n-grid", ","], None, "--n-grid is empty", id="n-grid"),
+        pytest.param(["calibrate", "--family", "uni", "--n", "64", "--p", "4", "--reps", "50"],
+                     None, "univariate test requires p=1, got p=4", id="calibrate-uni-p4"),
+        pytest.param(["calibrate", "--family", "oracle", "--n", "64", "--p", "4", "--reps", "50"],
+                     None, "s must be an integer, got None", id="calibrate-oracle-without-s"),
+        pytest.param([*_SIMULATE, "--rho", "inf"], None,
+                     "rho must be positive and finite, got inf", id="simulate-rho-inf"),
+        pytest.param([*_SIMULATE, "--rho", "2", "--sigma-sq", "inf"], None,
+                     "sigma_sq must be positive and finite, got inf", id="simulate-sigma-sq-inf"),
+    ])
+    def test_exits_2_with_message_and_no_report(self, tmp_path, capsys, argv, text, message):
+        if text is not None:
+            argv = [*argv, "--input", write(tmp_path, "x.csv", text), "--lambda", "1.0"]
+        out = tmp_path / "r.json"
+        assert run_cli([*argv, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"covshift: {message}\n"
+        assert captured.out == "" and not out.exists()
+
+
 class TestCovCommand:
     def test_adaptive_small_sample_is_runtime_error(self, tmp_path):
         rows = "\n".join(",".join(["1"] * 8) for _ in range(6))

@@ -286,6 +286,17 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             adaptive_test(X, -2.0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda X: covariance_test(X, None, 1, 1.0), "lambda must be positive, got None"),
+        (lambda X: covariance_test(X, 1.0, 1, None), "sigma_sq must be positive, got None"),
+        (lambda X: covariance_test(X, 1.0, 1, "a"), "sigma_sq must be positive, got a"),
+        (lambda X: adaptive_test(X, "a"), "lambda must be positive, got a"),
+        (lambda X: adaptive_sdp_test(X, None), "lambda must be positive, got None"),
+    ])
+    def test_non_number_rejected(self, rng, call, message):
+        with pytest.raises(InvalidInputError, match=rf"^{message}$"):
+            call(rng.standard_normal((16, 2)))
+
     def test_oracle_requires_positive_noise(self, rng):
         X = rng.standard_normal((16, 2))
         with pytest.raises(InvalidInputError):

@@ -71,6 +71,19 @@ class TestShrinkage:
             variance_shrinkage(1, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: PriorSpec("uni", 64, 1, 1.0, math.inf), "rho"),
+    (lambda: PriorSpec("uni", 64, 1, math.inf, 1.0), "sigma_sq"),
+    (lambda: null_series(4, 1, math.inf, 0), "sigma_sq"),
+    (lambda: variance_shrinkage(4, math.inf, 1.0), "rho"),
+    (lambda: variance_shrinkage(4, 1.0, math.inf), "sigma_sq"),
+])
+def test_infinite_level_or_signal_rejected(call, name):
+    # an infinite rho gave Sigma1 = [[nan]], an infinite sigma_sq a panel of +-inf
+    with pytest.raises(InvalidInputError, match=rf"^{name} must be positive and finite, got inf$"):
+        call()
+
+
 class TestPriorDraws:
     def test_uni_draw_reproduces_rho_exactly(self):
         spec = PriorSpec("uni", n=256, p=1, sigma_sq=2.0, rho=7.5)
@@ -583,6 +596,27 @@ class TestCalibration:
     def test_oracle_family_requires_s(self):
         with pytest.raises(InvalidInputError):
             calibrate_lambda("oracle", 64, p=4, delta=0.1, reps=100, seed=0)
+
+    def test_uni_family_requires_p_one(self):
+        # the univariate test's own rule, raised on the first null replicate
+        with pytest.raises(InvalidInputError, match=r"^univariate test requires p=1, got p=4$"):
+            calibrate_lambda("uni", 64, p=4, reps=50)
+
+    def test_reps_none_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^reps must be an integer, got None$"):
+            calibrate_lambda("uni", 64, reps=None)
+
+    def test_non_number_delta_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"^delta must lie in \(0, 1\], got a$"):
+            calibrate_lambda("uni", 64, delta="a")
+
+    @pytest.mark.parametrize("family", ["bogus", ["uni"]])
+    def test_unknown_family_rejected(self, family):
+        message = r"^unknown test family .* choose from \('uni', 'oracle'"
+        with pytest.raises(InvalidInputError, match=message):
+            run_test(family, np.ones(8), 1.0)
+        with pytest.raises(InvalidInputError, match=message):
+            calibrate_lambda(family, 64, reps=50)
 
     def test_multi_families_return_positive(self):
         for fam, p, kw in (("uni", 1, {}), ("oracle", 4, {"s": 2}), ("adaptive", 4, {}),

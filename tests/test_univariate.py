@@ -91,6 +91,16 @@ class TestScan:
             with pytest.raises(InvalidInputError):
                 variance_test(x, lam)
 
+    def test_non_number_lambda_rejected(self, rng):
+        x = rng.standard_normal(16)
+        for lam in (None, "a"):
+            with pytest.raises(InvalidInputError, match=rf"^lambda must be positive, got {lam}$"):
+                variance_test(x, lam)
+        # numpy scalars are numbers
+        expected = variance_test(x, 2.0)
+        assert variance_test(x, np.float32(2.0)) == expected
+        assert variance_test(x, np.int64(2)) == expected
+
     def test_requires_univariate(self, rng):
         with pytest.raises(InvalidInputError):
             variance_test(rng.standard_normal((10, 2)), 1.0)
