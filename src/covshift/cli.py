@@ -8,7 +8,8 @@ with floats at 17 significant digits, so identical configuration, input, and
 seed produce byte-identical files.
 
 Exit codes: 0 success, 1 runtime failure (structured error record written),
-2 parse or configuration failure (an ``InvalidInputError`` or ``OSError``).
+2 parse or configuration failure (an argparse usage error, an
+``InvalidInputError`` or an ``OSError``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .simulate import (
     monte_carlo_errors,
     run_test,
 )
-from .sparse_eig import DEFAULT_BUDGET
 from .univariate import variance_test  # noqa: F401
 
 __all__ = ["main"]
@@ -141,9 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--delta", type=float, default=0.1)
         sp.add_argument("--reps", type=int, default=1000)
-        sp.add_argument("--tol", type=float, default=1e-3)
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="largest comb(p, s) the exact sparse-eigenvalue search accepts")
 
     sp = sub.add_parser("test-uni", help="univariate variance changepoint test")
     add_common(sp, with_input=True)
@@ -210,15 +207,13 @@ def _run_test_cov(args):
             raise InvalidInputError("variant 'oracle' requires --s and --sigma-sq")
     elif args.s is not None or args.sigma_sq is not None:
         raise InvalidInputError(f"variant {args.variant!r} forbids --s and --sigma-sq")
-    report = run_test(args.variant.replace("-", "_"), X, args.lam, s=args.s,
-                      sigma_sq=args.sigma_sq, budget=args.budget, tol=args.tol)
-    return report.to_dict()
+    return run_test(args.variant.replace("-", "_"), X, args.lam, s=args.s,
+                    sigma_sq=args.sigma_sq).to_dict()
 
 
 def _run_calibrate(args):
     lam = calibrate_lambda(args.family.replace("-", "_"), args.n, p=args.p, s=args.s,
-                           delta=args.delta, reps=args.reps, seed=args.seed,
-                           budget=args.budget, tol=args.tol)
+                           delta=args.delta, reps=args.reps, seed=args.seed)
     return {"family": args.family, "lambda": lam, "delta": args.delta,
             "reps": args.reps, "n": args.n, "p": args.p, "s": args.s,
             "seed": args.seed}
@@ -231,8 +226,7 @@ def _run_simulate(args):
                      rho=args.rho, s=args.s)
 
     def test(X):
-        return run_test(family, X, args.lam, s=args.s, sigma_sq=args.sigma_sq,
-                        budget=args.budget, tol=args.tol).reject
+        return run_test(family, X, args.lam, s=args.s, sigma_sq=args.sigma_sq).reject
 
     outcome = monte_carlo_errors(test, spec, args.reps, args.seed)
     return {"family": args.family, "prior": {
@@ -303,8 +297,6 @@ def _validate_common(args):
         raise InvalidInputError(f"--delta must lie in (0, 1], got {args.delta}")
     if args.seed < 0:
         raise InvalidInputError(f"--seed must be nonnegative, got {args.seed}")
-    if args.tol <= 0:
-        raise InvalidInputError(f"--tol must be positive, got {args.tol}")
 
 
 if __name__ == "__main__":

@@ -69,7 +69,10 @@ def as_series(values) -> np.ndarray:
     One-dimensional input is treated as a univariate series and reshaped to
     a single column. Requires ``n >= 2``, ``p >= 1`` and finite entries.
     """
-    X = np.asarray(values, dtype=float)
+    try:
+        X = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"series is not a numeric array: {exc}") from exc
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:
@@ -90,7 +93,10 @@ def sym_matrix(A) -> np.ndarray:
     The input must be square and symmetric to within absolute tolerance
     ``SYM_TOL``; the returned matrix is ``(A + A.T) / 2``.
     """
-    A = np.asarray(A, dtype=float)
+    try:
+        A = np.asarray(A, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"matrix is not a numeric array: {exc}") from exc
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
@@ -240,8 +246,8 @@ def signal_strength_uni(t0, n, sigma1_sq, sigma2_sq) -> float:
     """Signal strength of a variance change: ``min(t0, n-t0) * min(r, r**2)``
     with ``r = |sigma1_sq - sigma2_sq| / min(sigma1_sq, sigma2_sq)``."""
     side = _shorter_side(t0, n)
-    if not (sigma1_sq > 0 and sigma2_sq > 0):
-        raise InvalidInputError("variances must be strictly positive")
+    sigma1_sq = _check_positive(sigma1_sq, "sigma1_sq")
+    sigma2_sq = _check_positive(sigma2_sq, "sigma2_sq")
     ratio = abs(sigma1_sq - sigma2_sq) / min(sigma1_sq, sigma2_sq)
     return side * min(ratio, ratio * ratio)
 

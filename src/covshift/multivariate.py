@@ -38,7 +38,7 @@ from .core import (
 )
 from .exceptions import NoiseWindowError, UndecidableInputError
 from .sdp_relax import relaxed_sparse_eigmax
-from .sparse_eig import DEFAULT_BUDGET, sparse_abs_eigmax
+from .sparse_eig import sparse_abs_eigmax
 
 __all__ = [
     "MultiTestCell",
@@ -139,7 +139,7 @@ def _outer_windows(X, w, label):
     return head.T @ head / w, tail.T @ tail / w
 
 
-def sparse_noise_level(X, s, budget: int = DEFAULT_BUDGET) -> float:
+def sparse_noise_level(X, s) -> float:
     """Noise-level estimate for sparsity ``s`` from the outermost windows.
 
     Uses the first and last ``ceil(minimax_rate(p, n, s))`` observations,
@@ -153,7 +153,7 @@ def sparse_noise_level(X, s, budget: int = DEFAULT_BUDGET) -> float:
     n, p = X.shape
     w = math.ceil(minimax_rate(p, n, s))
     windows = _outer_windows(X, w, f"ceil(minimax_rate(p, n, {s}))")
-    return min(sparse_abs_eigmax(M, s, budget=budget).value for M in windows)
+    return min(sparse_abs_eigmax(M, s).value for M in windows)
 
 
 def entrywise_noise_level(X) -> float:
@@ -266,11 +266,11 @@ def _scan(variant, X, lam, noise, stat, rate):
     return report
 
 
-def _exact_stat(budget):
-    return lambda diff, s: (sparse_abs_eigmax(diff, s, budget=budget).value, True)
+def _exact_stat(diff, s):
+    return sparse_abs_eigmax(diff, s).value, True
 
 
-def covariance_test(X, lam, s, sigma_sq, budget: int = DEFAULT_BUDGET) -> MultiTestReport:
+def covariance_test(X, lam, s, sigma_sq) -> MultiTestReport:
     """Covariance changepoint scan with known sparsity and noise level.
 
     A window triggers when the s-sparse eigenvalue of the covariance
@@ -280,12 +280,12 @@ def covariance_test(X, lam, s, sigma_sq, budget: int = DEFAULT_BUDGET) -> MultiT
     lam = _check_positive(lam, "lambda")
     sigma_sq = _check_positive(sigma_sq, "sigma_sq")
     s = _check_count(s, "s")
-    report = _scan("oracle", X, lam, {s: sigma_sq}, _exact_stat(budget), scan_rate)
+    report = _scan("oracle", X, lam, {s: sigma_sq}, _exact_stat, scan_rate)
     report.cells  # the exact tests solve every cell at call time (ROADMAP item 3)
     return report
 
 
-def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET) -> MultiTestReport:
+def adaptive_test(X, lam) -> MultiTestReport:
     """Noise- and sparsity-adaptive covariance changepoint scan.
 
     Scans sparsities from the dyadic sparsity grid whose rate fits the
@@ -302,15 +302,15 @@ def adaptive_test(X, lam, budget: int = DEFAULT_BUDGET) -> MultiTestReport:
             noise[s] = "rate exceeds n"
             continue
         try:
-            noise[s] = sparse_noise_level(X, s, budget=budget)
+            noise[s] = sparse_noise_level(X, s)
         except NoiseWindowError:
             noise[s] = "noise window does not fit"
-    report = _scan("adaptive", X, lam, noise, _exact_stat(budget), scan_rate)
+    report = _scan("adaptive", X, lam, noise, _exact_stat, scan_rate)
     report.cells  # the exact tests solve every cell at call time (ROADMAP item 3)
     return report
 
 
-def adaptive_sdp_test(X, lam, tol: float = 1e-3) -> MultiTestReport:
+def adaptive_sdp_test(X, lam) -> MultiTestReport:
     """Polynomial-time variant of the adaptive scan.
 
     Each cell statistic is the certified lower endpoint of the SDP
@@ -327,7 +327,7 @@ def adaptive_sdp_test(X, lam, tol: float = 1e-3) -> MultiTestReport:
         raise UndecidableInputError(str(exc)) from exc
 
     def stat(diff, s):
-        sol = relaxed_sparse_eigmax(diff, s, tol=tol)
+        sol = relaxed_sparse_eigmax(diff, s)
         return sol.lower, sol.converged
 
     noise = dict.fromkeys(sparsity_grid(X.shape[1]), noise)

@@ -22,12 +22,11 @@ the certificate at each checkpoint.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_count, _check_sparsity, sym_matrix
+from .core import _check_count, _check_positive, _check_sparsity, sym_matrix
 from .exceptions import InvalidInputError
 
 __all__ = ["RelaxSolution", "relaxed_sparse_eigmax", "dual_upper_bound"]
@@ -225,8 +224,7 @@ def relaxed_sparse_eigmax(A, s, tol: float = 1e-3) -> RelaxSolution:
     A = sym_matrix(A)
     p = A.shape[0]
     s = _check_sparsity(s, p)
-    if not (tol > 0) or not math.isfinite(tol):
-        raise InvalidInputError(f"tol must be a positive finite real, got {tol}")
+    tol = _check_positive(tol, "tol", finite=True)
     if s == 1:
         # The l1 constraint forces Z diagonal, so each side is linear over
         # the probability simplex and both certificates are closed-form; the

@@ -19,7 +19,6 @@ from .core import (
 )
 from .exceptions import CovshiftError, InvalidInputError, SignalDomainError
 from .multivariate import adaptive_sdp_test, adaptive_test, covariance_test
-from .sparse_eig import DEFAULT_BUDGET
 from .univariate import variance_test
 
 __all__ = [
@@ -52,24 +51,20 @@ _S_NULL, _S_PRIOR, _S_DATA, _S_CAL = 1, 2, 3, 4
 # ``covshift.simulate.<test>`` sees every call made through the table.
 _FAMILY_TESTS = {
     "uni": lambda X, lam, **_: variance_test(X, lam),
-    "oracle": lambda X, lam, s, sigma_sq, budget, **_:
-        covariance_test(X, lam, s, sigma_sq, budget=budget),
-    "adaptive": lambda X, lam, budget, **_: adaptive_test(X, lam, budget=budget),
-    "adaptive_sdp": lambda X, lam, tol, **_: adaptive_sdp_test(X, lam, tol=tol),
+    "oracle": lambda X, lam, s, sigma_sq: covariance_test(X, lam, s, sigma_sq),
+    "adaptive": lambda X, lam, **_: adaptive_test(X, lam),
+    "adaptive_sdp": lambda X, lam, **_: adaptive_sdp_test(X, lam),
 }
 FAMILIES = tuple(_FAMILY_TESTS)
 
 
-def run_test(family, X, lam, s=None, sigma_sq=1.0, budget: int = DEFAULT_BUDGET,
-             tol: float = 1e-3):
+def run_test(family, X, lam, s=None, sigma_sq=1.0):
     """Report of the ``family`` test (one of ``FAMILIES``) on ``X`` at
     threshold multiplier ``lam``. ``s`` and ``sigma_sq`` are the oracle's
-    known sparsity and noise level, ``budget`` bounds the exact scans'
-    sparse-eigenvalue search and ``tol`` the relaxation solver's gap; a
-    family ignores the arguments it has no use for."""
+    known sparsity and noise level; the other families ignore them."""
     if family not in FAMILIES:
         raise InvalidInputError(f"unknown test family {family!r}; choose from {FAMILIES}")
-    return _FAMILY_TESTS[family](X, lam, s=s, sigma_sq=sigma_sq, budget=budget, tol=tol)
+    return _FAMILY_TESTS[family](X, lam, s=s, sigma_sq=sigma_sq)
 
 
 def _rng(entropy) -> np.random.Generator:
@@ -246,9 +241,9 @@ def chisq_cross_term(delta1, delta2, kappa1, kappa2, sigma_sq, inner) -> ChisqCr
         )
     _check_positive(sigma_sq, "sigma_sq")
     for k in (kappa1, kappa2):
-        if not (0 < k < sigma_sq):
+        if not _check_positive(k, "kappa") < sigma_sq:
             raise SignalDomainError(f"kappa={k} must lie in (0, sigma_sq={sigma_sq})")
-    if not (-1.0 <= inner <= 1.0):
+    if not (_in_range(inner, -1.0, 1.0) or inner == -1.0):
         raise InvalidInputError(f"inner must lie in [-1, 1], got {inner}")
     a1 = kappa1 / (sigma_sq - kappa1)
     a2 = kappa2 / (sigma_sq - kappa2)
@@ -343,7 +338,7 @@ def minimax_lower_bound(alpha) -> float:
     """Lower bound on the worst-case sum of Type I and II errors of any
     test, ``max(exp(-alpha)/2, 1 - sqrt(alpha/2))``, from a chi-square
     divergence ``alpha`` between null and alternative mixtures."""
-    if not (alpha >= 0):
+    if not _in_range(0.0, -math.inf, alpha):  # 0 <= alpha, False for a non-number
         raise InvalidInputError(f"alpha must be nonnegative, got {alpha}")
     return max(0.5 * math.exp(-alpha), 1.0 - math.sqrt(alpha / 2.0))
 
@@ -420,17 +415,8 @@ def monte_carlo_errors(test, spec: PriorSpec, reps, seed) -> SimOutcome:
     )
 
 
-def calibrate_lambda(
-    family,
-    n,
-    p=1,
-    s=None,
-    delta: float = 0.1,
-    reps: int = 1000,
-    seed=0,
-    budget: int = DEFAULT_BUDGET,
-    tol: float = 1e-3,
-) -> float:
+def calibrate_lambda(family, n, p=1, s=None, delta: float = 0.1, reps: int = 1000,
+                     seed=0) -> float:
     """Empirical null quantile of the maximal standardized scan statistic.
 
     Simulates ``reps`` null datasets (i.i.d. N(0, I)), computes for each
@@ -441,7 +427,9 @@ def calibrate_lambda(
     corresponding test an approximate level of ``delta``. A covariance
     report finds its maximum without building its cells, so a scan solves
     only the cells that can set it. The family's test checks ``family``,
-    ``p`` and ``s`` itself, on the first null replicate.
+    ``p`` and ``s`` itself, on the first null replicate; the exact families
+    raise ``EnumerationBudgetError`` beyond ``sparse_abs_eigmax``'s cap of
+    2,000,000 supports.
     """
     reps = _check_count(reps, "reps")
     if not _in_range(delta, 0, 1):
@@ -454,7 +442,7 @@ def calibrate_lambda(
     stats = np.empty(reps)
     for r in range(reps):
         X = null_series(n, p, 1.0, [seed, r, _S_CAL])
-        stats[r] = run_test(family, X, 1.0, s=s, budget=budget, tol=tol)._max_ratio()
+        stats[r] = run_test(family, X, 1.0, s=s)._max_ratio()
     return float(np.quantile(stats, 1.0 - delta, method="higher"))
 
 

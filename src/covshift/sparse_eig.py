@@ -4,9 +4,9 @@ A depth-first search includes or excludes one coordinate at a time. By
 Cauchy interlacing, ``max|eig(A[U, U])|`` over the coordinates ``U`` not yet
 excluded caps every support below a node (Moghaddam, Weiss & Avidan, 2006).
 Prunes keep a rounding margin, so the result equals exhaustive enumeration
-bit for bit. ``budget`` bounds ``comb(p, s)`` before any work; when every
-support ties (``np.eye(16)``, ``s = 8``) nothing is pruned and the search
-costs about what full enumeration does.
+bit for bit. More than 2,000,000 supports (``comb(p, s)``) are refused
+before any work; when every support ties (``np.eye(16)``, ``s = 8``) nothing
+is pruned and the search costs about what full enumeration does.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import numpy as np
 from .core import _check_sparsity, sym_matrix
 from .exceptions import EnumerationBudgetError
 
-__all__ = ["SparseEigResult", "sparse_abs_eigmax", "DEFAULT_BUDGET"]
+__all__ = ["SparseEigResult", "sparse_abs_eigmax"]
 
-DEFAULT_BUDGET = 2_000_000
+# Largest ``comb(p, s)`` the search accepts.
+_BUDGET = 2_000_000
 
 # A subtree of at most _BATCH_WORK // s**3 supports (128 at s = 8) is
 # evaluated in one batched eigvalsh instead of being searched further.
@@ -48,7 +49,7 @@ def _abs_extreme(A, idx):
     return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
 
-def sparse_abs_eigmax(A, s, budget: int = DEFAULT_BUDGET) -> SparseEigResult:
+def sparse_abs_eigmax(A, s) -> SparseEigResult:
     """Maximize ``|v' A v|`` over unit vectors with at most ``s`` nonzeros.
 
     Takes the size-``s`` support whose principal submatrix has the largest
@@ -58,14 +59,14 @@ def sparse_abs_eigmax(A, s, budget: int = DEFAULT_BUDGET) -> SparseEigResult:
     Raises
     ------
     EnumerationBudgetError
-        If ``comb(p, s)`` exceeds ``budget``.
+        If ``comb(p, s)`` exceeds 2,000,000.
     """
     A = sym_matrix(A)
     p = A.shape[0]
     s = _check_sparsity(s, p)
-    if math.comb(p, s) > budget:
+    if math.comb(p, s) > _BUDGET:
         raise EnumerationBudgetError(
-            f"{math.comb(p, s)} supports exceed the enumeration budget ({budget}); "
+            f"{math.comb(p, s)} supports exceed the enumeration budget ({_BUDGET}); "
             "use the SDP relaxation (covshift.sdp_relax.relaxed_sparse_eigmax) "
             "for this size"
         )

@@ -165,6 +165,20 @@ class TestBadInput:
         assert captured.out == "" and not out.exists()
 
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["test-cov", "--input", os.path.join(GOLDEN, "cov.csv"), "--lambda", "1.5",
+                      "--budget", "-1"], id="budget"),
+        pytest.param(["calibrate", "--family", "uni", "--n", "64", "--tol", "1e-3"], id="tol"),
+    ])
+    def test_deleted_solver_flags_are_usage_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--output", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCovCommand:
     def test_adaptive_small_sample_is_runtime_error(self, tmp_path):
         rows = "\n".join(",".join(["1"] * 8) for _ in range(6))

@@ -284,8 +284,6 @@ class TestErrors:
         A = np.eye(50)
         with pytest.raises(EnumerationBudgetError, match="SDP relaxation"):
             sparse_abs_eigmax(A, 10)
-        with pytest.raises(EnumerationBudgetError):
-            sparse_abs_eigmax(np.eye(10), 5, budget=100)
 
     def test_s_out_of_range(self):
         with pytest.raises(InvalidInputError):
