@@ -138,9 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_input:
             sp.add_argument("--input", required=True, help="CSV data panel")
         sp.add_argument("--output", default=None, help="report file (default: stdout)")
+        # Recorded in every report; the test commands never read it.
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--delta", type=float, default=0.1)
-        sp.add_argument("--reps", type=int, default=1000)
 
     sp = sub.add_parser("test-uni", help="univariate variance changepoint test")
     add_common(sp, with_input=True)
@@ -158,6 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("calibrate", help="null-quantile threshold calibration")
     add_common(sp)
+    sp.add_argument("--delta", type=float, default=0.1)
+    sp.add_argument("--reps", type=int, default=1000)
     sp.add_argument("--family", choices=_FAMILY_CHOICES, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, default=1)
@@ -165,6 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="Monte Carlo Type I/II error estimation")
     add_common(sp)
+    sp.add_argument("--reps", type=int, default=1000)
     sp.add_argument("--family", choices=_FAMILY_CHOICES, required=True)
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
     sp.add_argument("--n", type=int, required=True)
@@ -178,6 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("boundary", help="bisect the 50%-power signal strength "
                         "of the univariate test across sample sizes")
     add_common(sp)
+    sp.add_argument("--delta", type=float, default=0.1)
+    sp.add_argument("--reps", type=int, default=1000)
     sp.add_argument("--n-grid", dest="n_grid", default="128,512,2048,8192",
                     help="comma-separated sample sizes")
     return parser
@@ -269,7 +273,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     config = _config_dict(args)
     try:
-        _validate_common(args)
         result = _RUNNERS[args.command](args)
     except (InvalidInputError, OSError) as exc:
         sys.stderr.write(f"covshift: {exc}\n")
@@ -288,15 +291,6 @@ def main(argv=None) -> int:
     write_report({"version": __version__, "config": config, "result": result},
                  args.output)
     return 0
-
-
-def _validate_common(args):
-    if args.reps < 0 or (args.command in ("simulate", "boundary") and args.reps < 1):
-        raise InvalidInputError(f"--reps must be >= 1, got {args.reps}")
-    if not (0 < args.delta <= 1):
-        raise InvalidInputError(f"--delta must lie in (0, 1], got {args.delta}")
-    if args.seed < 0:
-        raise InvalidInputError(f"--seed must be nonnegative, got {args.seed}")
 
 
 if __name__ == "__main__":

@@ -235,7 +235,7 @@ def chisq_cross_term(delta1, delta2, kappa1, kappa2, sigma_sq, inner) -> ChisqCr
 
     which always dominates the closed form.
     """
-    if not (1 <= delta1 <= delta2):
+    if not (_in_range(delta1, 0, delta2) and delta1 >= 1):  # False for a non-number
         raise InvalidInputError(
             f"need 1 <= delta1 <= delta2, got ({delta1}, {delta2}); sort before calling"
         )
@@ -295,6 +295,8 @@ def mixture_chisq_uni_proof_bound(n, sigma_sq, rho) -> float:
     exponential envelope instead of the exact cross terms; always at least
     ``mixture_chisq_uni``, which it exists to check; ``inf`` once a term
     overflows."""
+    _check_positive(rho, "rho", finite=True)
+    _check_positive(sigma_sq, "sigma_sq", finite=True)
     deltas = dyadic_grid(n)
     total = 0.0
     try:

@@ -32,6 +32,13 @@ def test_every_public_name_resolves():
     pytest.param(lambda: covshift.signal_strength_uni(4, 8, None, 1.0), id="variance-none"),
     pytest.param(lambda: covshift.chisq_cross_term(1, 2, 0.1, 0.1, 1.0, None), id="inner-none"),
     pytest.param(lambda: covshift.chisq_cross_term(1, 2, None, 0.1, 1.0, 0.5), id="kappa-none"),
+    pytest.param(lambda: covshift.chisq_cross_term(None, 2, 0.1, 0.1, 1.0, 0.5), id="gap-none"),
+    pytest.param(lambda: covshift.chisq_cross_term(1, "a", 0.1, 0.1, 1.0, 0.5), id="gap-str"),
+    pytest.param(lambda: covshift.mixture_chisq_uni_proof_bound(64, 1.0, None), id="rho-none"),
+    pytest.param(lambda: covshift.mixture_chisq_uni_proof_bound(64, 1.0, -2.0),
+                 id="rho-negative"),
+    pytest.param(lambda: covshift.mixture_chisq_uni_proof_bound(64, None, 2.0),
+                 id="sigma-sq-none"),
     pytest.param(lambda: covshift.relaxed_sparse_eigmax([[1.0]], 1, tol=None), id="tol-none"),
     pytest.param(lambda: covshift.variance_test(["a", "b", "c"], 1.0), id="series-str"),
     pytest.param(lambda: covshift.adaptive_test([[1, 2], [3]], 1.0), id="series-ragged"),

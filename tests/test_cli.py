@@ -150,6 +150,15 @@ class TestBadInput:
                      None, "univariate test requires p=1, got p=4", id="calibrate-uni-p4"),
         pytest.param(["calibrate", "--family", "oracle", "--n", "64", "--p", "4", "--reps", "50"],
                      None, "s must be an integer, got None", id="calibrate-oracle-without-s"),
+        pytest.param(["calibrate", "--family", "uni", "--n", "64", "--reps", "-1"], None,
+                     "reps must be >= 1, got -1", id="calibrate-reps-negative"),
+        pytest.param(["calibrate", "--family", "uni", "--n", "64", "--delta", "0"], None,
+                     "delta must lie in (0, 1], got 0.0", id="calibrate-delta-zero"),
+        pytest.param(["simulate", "--family", "uni", "--lambda", "3", "--n", "64", "--rho", "2",
+                      "--reps", "-1"], None, "reps must be >= 1, got -1",
+                     id="simulate-reps-negative"),
+        pytest.param(["boundary", "--n-grid", "64", "--delta", "2"], None,
+                     "delta must lie in (0, 1], got 2.0", id="boundary-delta-2"),
         pytest.param([*_SIMULATE, "--rho", "inf"], None,
                      "rho must be positive and finite, got inf", id="simulate-rho-inf"),
         pytest.param([*_SIMULATE, "--rho", "2", "--sigma-sq", "inf"], None,
@@ -164,11 +173,24 @@ class TestBadInput:
         assert captured.err == f"covshift: {message}\n"
         assert captured.out == "" and not out.exists()
 
+    def test_negative_seed_exits_2_with_message_and_no_report(self, tmp_path, capsys):
+        # numpy's own reason follows the prefix; its wording varies by release
+        out = tmp_path / "r.json"
+        assert run_cli(["calibrate", "--family", "uni", "--n", "64", "--seed", "-1",
+                        "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("covshift: seed must be a nonnegative integer")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["test-cov", "--input", os.path.join(GOLDEN, "cov.csv"), "--lambda", "1.5",
                       "--budget", "-1"], id="budget"),
         pytest.param(["calibrate", "--family", "uni", "--n", "64", "--tol", "1e-3"], id="tol"),
+        pytest.param(["test-uni", "--input", os.path.join(GOLDEN, "uni.csv"), "--lambda", "2.5",
+                      "--delta", "0.5"], id="test-uni-delta"),
+        pytest.param(["test-cov", "--input", os.path.join(GOLDEN, "cov.csv"), "--lambda", "1.5",
+                      "--reps", "7"], id="test-cov-reps"),
+        pytest.param([*_SIMULATE, "--rho", "2", "--delta", "0.5"], id="simulate-delta"),
     ])
     def test_deleted_solver_flags_are_usage_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "r.json"
