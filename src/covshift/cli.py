@@ -4,8 +4,8 @@ Subcommands: ``test-uni``, ``test-cov``, ``calibrate``, ``simulate``,
 ``boundary``. Input is UTF-8 CSV (rows = time points, columns = dimensions,
 one optional header row auto-detected by a non-numeric first row, no missing
 values; a leading byte-order mark is dropped). Output is a UTF-8 JSON report
-with floats at 17 significant digits, so identical configuration, input, and
-seed produce byte-identical files.
+with floats in their shortest round-trip form (Python's ``repr``), so
+identical configuration, input, and seed produce byte-identical files.
 
 Exit codes: 0 success, 1 runtime failure (structured error record written),
 2 parse or configuration failure (an argparse usage error, an
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -44,44 +43,8 @@ __all__ = ["main"]
 _FAMILY_CHOICES = [f.replace("_", "-") for f in FAMILIES]
 
 
-def _format_value(x):
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format(x, ".17g")
-    if isinstance(x, str):
-        return json.dumps(x, ensure_ascii=False)
-    if x is None:
-        return "null"
-    raise TypeError(f"unserializable value {x!r}")
-
-
-def _dump(obj, indent=0):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f'{pad}  "{k}": {_dump(v, indent + 1)}' for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {_dump(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return _format_value(obj)
-
-
 def write_report(payload: dict, path: str | None):
-    text = _dump(payload) + "\n"
+    text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -93,7 +56,11 @@ def read_csv_series(path: str) -> np.ndarray:
     """Parse a CSV data panel; raises InvalidInputError with line/column info."""
     rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path} is not UTF-8 text") from exc
+        reader = csv.reader(lines)
         width = None
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and row[0].strip() == ""):
@@ -274,6 +241,8 @@ def main(argv=None) -> int:
     config = _config_dict(args)
     try:
         result = _RUNNERS[args.command](args)
+        write_report({"version": __version__, "config": config, "result": result},
+                     args.output)
     except (InvalidInputError, OSError) as exc:
         sys.stderr.write(f"covshift: {exc}\n")
         return 2
@@ -288,8 +257,6 @@ def main(argv=None) -> int:
         except OSError:
             sys.stderr.write(f"covshift: {exc}\n")
         return 1
-    write_report({"version": __version__, "config": config, "result": result},
-                 args.output)
     return 0
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, reports, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -61,6 +62,18 @@ class TestUniCommand:
         out = capsys.readouterr().out
         assert "\\t" in out and "\t" not in out
         assert json.loads(out)["config"]["input"] == data
+
+    def test_infinite_stat_and_float_lambda_read_back(self, tmp_path, capsys):
+        # A zero-variance half makes the ratio infinite; the report spells it
+        # Infinity, and a float flag stays a float even when it is integral.
+        data = write(tmp_path, "x.csv", "0\n0\n1\n1\n")
+        assert run_cli(["test-uni", "--input", data, "--lambda", "1"]) == 0
+        out = capsys.readouterr().out
+        assert '"stat": Infinity' in out and '"lam": 1.0' in out
+        report = json.loads(out)
+        assert report["result"]["cells"][0]["stat"] == math.inf
+        lam = report["config"]["lam"]
+        assert isinstance(lam, float) and lam == 1.0
 
     def test_byte_order_mark_is_not_a_header(self, tmp_path, monkeypatch, capsys):
         # The golden uni.csv without its header line, once plain and once
@@ -181,6 +194,30 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.err.startswith("covshift: seed must be a nonnegative integer")
         assert captured.out == "" and not out.exists()
+
+    def test_non_utf8_input_exits_2_with_message_and_no_report(self, tmp_path, capsys):
+        data = tmp_path / "x.csv"
+        data.write_bytes(b"1.0\n2.0\n\xff\xfe3\n4.0\n")
+        out = tmp_path / "r.json"
+        assert run_cli(["test-uni", "--input", str(data), "--lambda", "2.5",
+                        "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("covshift: ") and "UTF-8" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("output", [
+        pytest.param(os.path.join("missing", "r.json"), id="missing-directory"),
+        pytest.param("", id="directory"),
+    ])
+    def test_unwritable_output_exits_2_with_message_and_no_report(self, tmp_path, capsys,
+                                                                   output):
+        # the OSError's wording varies by platform; its path does not
+        out = os.path.join(str(tmp_path), output)
+        assert run_cli(["test-uni", "--input", os.path.join(GOLDEN, "uni.csv"),
+                        "--lambda", "2.5", "--output", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("covshift: ") and out in captured.err
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["test-cov", "--input", os.path.join(GOLDEN, "cov.csv"), "--lambda", "1.5",

@@ -2,9 +2,13 @@
 
 Each case runs ``covshift.cli.main`` inside ``tests/data/golden`` with a
 relative ``--input`` and the report on standard output, so the recorded
-configuration holds no machine path. The expected bytes were written by
-the code before the family table and the shared scan loop replaced the
-per-command dispatch; any later change to a report shows here.
+configuration holds no machine path. The expected bytes were first written
+by the code before the family table and the shared scan loop replaced the
+per-command dispatch. They were last regenerated when ``json.dumps``
+replaced the CLI's own JSON writer: floats now print in their shortest
+round-trip form instead of at 17 significant digits, and integral floats
+as ``1.0`` instead of ``1``; every value and key order is unchanged. Any
+later change to a report shows here.
 
 Regenerate after an intended change of output with
 
